@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 __all__ = [
     "FactorBudgetError",
     "PROBABLE_PRIME_THRESHOLD",
+    "TRIAL_DIVISION_BOUND",
     "crt",
     "cube_root_mod_6n",
     "factorize",
@@ -35,13 +36,13 @@ class FactorBudgetError(Exception):
 # deterministic one; callers surface such primes with a "probable" flag.
 PROBABLE_PRIME_THRESHOLD = 1 << 64
 
-# The first twelve primes witness every composite below this bound (which is
-# comfortably past 2**64), so the Miller-Rabin test is deterministic there.
-
 # The first 13 prime bases decide primality for everything below the bound
 # (the smallest composite passing all of them is the bound itself).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+# factorize trial-divides by the primes up to this bound before Pollard rho
+TRIAL_DIVISION_BOUND = 10_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -65,6 +66,18 @@ def primes_upto(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _trial_primes(bound: int) -> tuple[int, ...]:
     return tuple(primes_upto(bound))
+
+
+# One gcd with the product of the primes in (47, _GCD_SIEVE_BOUND] rejects a
+# composite with such a factor before any modular exponentiation; about half
+# of the composites that pass the small-prime loop have one.  The gcd costs
+# more as the bound grows: timed on the inputs decompose passes to is_prime,
+# 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower, and came
+# within 7% of 10**4 on ~700-bit values.
+_GCD_SIEVE_BOUND = 3000
+_GCD_SIEVE_PRODUCT = math.prod(
+    p for p in _trial_primes(_GCD_SIEVE_BOUND) if p > _SMALL_PRIMES[-1]
+)
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -151,6 +164,9 @@ def is_prime(n: int, *, extra_rounds: int = 0) -> bool:
             return True
         if n % p == 0:
             return False
+    # below the bound a common factor may be n itself; Miller-Rabin decides there
+    if n > _GCD_SIEVE_BOUND and math.gcd(n, _GCD_SIEVE_PRODUCT) != 1:
+        return False
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -204,10 +220,13 @@ def _pollard_brent(n: int) -> int:
     raise AssertionError("unreachable")
 
 
-def factorize(n: int, *, bit_budget: int = 96, trial_bound: int = 10_000) -> list[tuple[int, int]]:
+def factorize(
+    n: int, *, bit_budget: int = 96, trial_bound: int = TRIAL_DIVISION_BOUND
+) -> list[tuple[int, int]]:
     """Full factorization of n as a sorted list of (prime, exponent).
 
-    Trial division up to `trial_bound`, then Pollard rho on what remains.
+    Trial division up to `trial_bound` (none when it is below 2), then
+    Pollard rho on what remains.
     Raises FactorBudgetError when n has more than `bit_budget` bits; callers
     treat that as "reject this candidate" rather than waiting on a hard
     factorization.

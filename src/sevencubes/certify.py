@@ -315,15 +315,11 @@ def prime_gap_certificate(
     hi: int,
     *,
     bound: Fraction | None = None,
-    threads: int = 1,
 ) -> GapCertificate:
     """Certificate for primes == residue (mod modulus) in [lo, hi].
 
-    The sieve and the ratio scan are exact; `threads` is accepted for
-    interface stability but the single pass is already cheap.
+    The sieve and the ratio scan are exact.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     mask = _prime_mask(hi)

@@ -146,9 +146,7 @@ def _gap_reports(args: argparse.Namespace) -> list[dict]:
         modulus = args.mod if args.mod is not None else 12
         residues = [args.res] if args.res is not None else [5, 11]
         for residue in residues:
-            cert = prime_gap_certificate(
-                residue, modulus, lo, hi, bound=bound, threads=args.threads
-            )
+            cert = prime_gap_certificate(residue, modulus, lo, hi, bound=bound)
             records.append(cert.to_record())
     if which in ("admissible", "both"):
         bound = args.max_ratio or Fraction(26669, 26141)
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--hi", type=int, default=None)
     c.add_argument("--max-ratio", type=_ratio, default=None,
                    help="bound as num/den, e.g. 1006/1000")
-    c.add_argument("--threads", type=int, default=1)
     c.set_defaults(func=_cmd_certify)
 
     s = sub.add_parser("selftest", help="deterministic end-to-end battery")

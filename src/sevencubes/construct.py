@@ -472,13 +472,16 @@ class Trace:
         }
 
 
-def _candidate_moduli(n: int, config: DecomposeConfig) -> Iterator[AuxModulus]:
+def _candidate_moduli(
+    n: int, config: DecomposeConfig, prime_bounds: tuple[int, int]
+) -> Iterator[AuxModulus]:
     """Moduli to try for n == 2 (mod 4): the direct window scan first
-    (smallest admissible value wins), then steered composites p0 * prime."""
+    (smallest admissible value wins), then steered composites p0 * prime
+    when `prime_bounds` (from composite_prime_bounds(n)) is not empty."""
     yield from iter_moduli_direct(
         n, scan_limit=config.scan_limit, bit_budget=config.factor_bits
     )
-    p_lo, p_hi = composite_prime_bounds(n)
+    p_lo, p_hi = prime_bounds
     if p_lo <= p_hi:
         for b in steering_residues(n).candidates:
             yield from iter_moduli_composite(n, b, scan_limit=config.prime_scan_limit)
@@ -493,7 +496,7 @@ def _construct(n: int, config: DecomposeConfig) -> Trace | None:
     p_lo, p_hi = composite_prime_bounds(n)
     if lo > hi and p_lo > p_hi:
         return None
-    for modulus in _candidate_moduli(n, config):
+    for modulus in _candidate_moduli(n, config, (p_lo, p_hi)):
         x0 = anchor_root(n, modulus)
         try:
             q = residual_quotient(n, modulus.value, x0)

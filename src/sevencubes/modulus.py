@@ -23,11 +23,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
+    TRIAL_DIVISION_BOUND,
     FactorBudgetError,
     crt,
     factorize,
     integer_cbrt,
     is_prime,
+    primes_upto,
 )
 
 __all__ = [
@@ -57,6 +59,8 @@ VALID_LO = 1618
 VALID_HI = 1786
 
 _IDENTITY_CONSTANT = 1402  # = 2 * (4**3 + 5**3 + 8**3), see construct.py
+
+_TRIAL_PRIMES = tuple(primes_upto(TRIAL_DIVISION_BOUND))
 
 
 class NoWindowError(Exception):
@@ -106,6 +110,10 @@ def admissible_factors(n: int, *, bit_budget: int = 96) -> tuple[int, ...] | Non
     Admissible: squarefree with every prime factor congruent to 5 mod 6.
     The empty product n = 1 is admissible.  Raises FactorBudgetError for
     values beyond the factorization budget.
+
+    Trial division rejects n at its first small factor that is 2, 3,
+    1 (mod 6) or repeated; a cofactor left after it is decided by one
+    primality test, and only a composite cofactor is factorized.
     """
     if n < 1:
         raise ValueError("modulus candidates must be positive")
@@ -113,10 +121,31 @@ def admissible_factors(n: int, *, bit_budget: int = 96) -> tuple[int, ...] | Non
         return ()
     if n % 2 == 0 or n % 3 == 0:
         return None
-    fac = factorize(n, bit_budget=bit_budget)
-    if all(e == 1 and p % 6 == 5 for p, e in fac):
-        return tuple(p for p, _ in fac)
-    return None
+    if n.bit_length() > bit_budget:
+        raise FactorBudgetError(
+            f"{n.bit_length()}-bit value exceeds the {bit_budget}-bit factorization budget"
+        )
+    primes: list[int] = []
+    m = n
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            m //= p
+            if p % 6 != 5 or m % p == 0:
+                return None
+            primes.append(p)
+    else:
+        # m has no prime factor up to the trial bound, so it may be composite
+        if m > 1 and not is_prime(m):
+            fac = factorize(m, bit_budget=bit_budget, trial_bound=0)
+            if all(e == 1 and p % 6 == 5 for p, e in fac):
+                return tuple(primes) + tuple(p for p, _ in fac)
+            return None
+    # m is 1 or a prime above every trial factor
+    if m == 1:
+        return tuple(primes)
+    return tuple(primes) + (m,) if m % 6 == 5 else None
 
 
 def is_admissible_modulus(n: int, *, bit_budget: int = 96) -> bool:
@@ -310,6 +339,7 @@ def base_window_table() -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], .
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def window_bounds() -> tuple[int, int]:
     """(min, max) over all base-window moduli."""
     table = base_window_table()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevencubes.arith import (
+    _GCD_SIEVE_BOUND,
     PROBABLE_PRIME_THRESHOLD,
     FactorBudgetError,
     crt,
@@ -101,6 +102,32 @@ def test_is_prime_square_of_prime_rejected():
 def test_is_prime_extra_rounds_consistent():
     for n in (10**24 + 7, 10**30 + 57, 2**127 - 1):
         assert is_prime(n) == is_prime(n, extra_rounds=4)
+
+
+def _next_prime(n: int) -> int:
+    while not naive_is_prime(n):
+        n += 1
+    return n
+
+
+def test_is_prime_gcd_prefilter_edges():
+    # past the small-prime loop, one gcd with the product of the primes in
+    # (47, _GCD_SIEVE_BOUND] rejects n; at or below the bound n may be one of
+    # those primes, which must still be reported prime
+    bound = _GCD_SIEVE_BOUND
+    factors = [p for p in primes_upto(bound) if p > 47]
+    assert all(is_prime(p) for p in factors)
+    at = _prev_prime(bound)
+    below = _prev_prime(at - 1)
+    above = _next_prime(bound + 1)
+    assert at == factors[-1] and above not in factors and is_prime(above)
+    for n in range(bound - 200, bound + 200):
+        assert is_prime(n) == naive_is_prime(n), n
+    large = (10**9 + 7, 2**61 - 1, 2**89 - 1)  # 2**89 - 1 takes the Lucas test
+    for p in (53, below, at, above):
+        for q in (below, at, above) + large:
+            assert not is_prime(p * q), (p, q)
+    assert all(is_prime(q) for q in large)
 
 
 # -- factorization ------------------------------------------------------------

@@ -146,8 +146,6 @@ def test_prime_gap_certificate_bounds():
     assert passing.satisfied is True
     failing = prime_gap_certificate(5, 12, 26669, 10**5, bound=Fraction(10051, 10000))
     assert failing.satisfied is False
-    with pytest.raises(ValueError):
-        prime_gap_certificate(5, 12, 26669, 10**5, threads=0)
 
 
 def test_gap_certificate_record():

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevencubes import modulus
+from sevencubes.arith import factorize
 from sevencubes.modulus import (
     VALID_HI,
     VALID_LO,
@@ -105,6 +107,37 @@ def test_admissible_factors_spot():
 def test_admissible_factors_exhaustive_small():
     for n in range(1, 5000):
         assert admissible_factors(n) == naive_admissible_factors(n), n
+
+
+def test_admissible_factors_each_exit_matches_naive(monkeypatch):
+    # 10007, 10037 = 5 and 10009 = 1 (mod 6) are the first primes past the
+    # trial-division bound; 10**9 + 7 = 5 and 10**9 + 9 = 1 (mod 6) are
+    # primes past the square of the last trial prime
+    cases = {
+        5 * 13 * 10007: None,  # small factor = 1 (mod 6)
+        11**2 * 17: None,  # square of a small prime
+        5 * 11 * 10007: (5, 11, 10007),  # prime cofactor, = 5 (mod 6)
+        5 * 11 * 10009: None,  # prime cofactor, = 1 (mod 6)
+        11 * (10**9 + 7): (11, 10**9 + 7),  # prime cofactor past the trial loop
+        11 * (10**9 + 9): None,
+        10007 * 10037: (10007, 10037),  # composite cofactor, admissible
+        5 * 10007 * 10037: (5, 10007, 10037),
+        10007 * 10009: None,  # composite cofactor with a factor = 1 (mod 6)
+        10007**2: None,  # square of a prime past the trial bound
+        11 * 10037**2: None,
+    }
+    factorized = []
+
+    def counting_factorize(m, **kwargs):
+        factorized.append(m)
+        return factorize(m, **kwargs)
+
+    monkeypatch.setattr(modulus, "factorize", counting_factorize)
+    uncached = admissible_factors.__wrapped__
+    for n, expected in cases.items():
+        assert uncached(n) == naive_admissible_factors(n) == expected, n
+    # only composite cofactors free of trial-division factors are factorized
+    assert factorized == [10007 * 10037, 10007 * 10037, 10007 * 10009, 10007**2, 10037**2]
 
 
 def test_aux_modulus_validation():
