@@ -24,7 +24,6 @@ __all__ = [
     "is_perfect_square",
     "is_prime",
     "primes_upto",
-    "xgcd",
 ]
 
 
@@ -32,14 +31,12 @@ class FactorBudgetError(Exception):
     """A factorization candidate exceeds the configured size budget."""
 
 
-# Above this bound a "prime" verdict is a strong probable-prime result, not a
-# deterministic one; callers surface such primes with a "probable" flag.
-PROBABLE_PRIME_THRESHOLD = 1 << 64
-
-# The first 13 prime bases decide primality for everything below the bound
-# (the smallest composite passing all of them is the bound itself).
+# The first 13 prime bases decide primality for everything below this bound
+# (the smallest composite passing all of them is the bound itself).  Above it
+# a "prime" verdict is a strong probable-prime result, not a deterministic
+# one; callers surface such primes with a "probable" flag.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+PROBABLE_PRIME_THRESHOLD = 3_317_044_064_679_887_385_961_981
 
 # factorize trial-divides by the primes up to this bound before Pollard rho
 TRIAL_DIVISION_BOUND = 10_000
@@ -149,13 +146,13 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def is_prime(n: int, *, extra_rounds: int = 0) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test.
 
-    Deterministic for n below the thirteen-base Miller-Rabin bound (past
-    2**64).  Above it this is a strong probable-prime test (Miller-Rabin on
-    the fixed bases plus a strong Lucas test), optionally reinforced by
-    `extra_rounds` further Miller-Rabin bases.  No known composite passes.
+    Deterministic for n below PROBABLE_PRIME_THRESHOLD, the thirteen-base
+    Miller-Rabin bound (about 3.3e24).  Above it this is a strong
+    probable-prime test (Miller-Rabin on the fixed bases plus a strong Lucas
+    test).  No known composite passes.
     """
     if n < 2:
         return False
@@ -173,14 +170,9 @@ def is_prime(n: int, *, extra_rounds: int = 0) -> bool:
     for a in _MR_BASES:
         if _mr_witness(n, a, d, s):
             return False
-    if n < _MR_DETERMINISTIC_BOUND:
+    if n < PROBABLE_PRIME_THRESHOLD:
         return True
-    if not _strong_lucas_prp(n):
-        return False
-    for i in range(extra_rounds):
-        if _mr_witness(n, 41 + 2 * i, d, s):
-            return False
-    return True
+    return _strong_lucas_prp(n)
 
 
 def _brent_cycle(n: int, c: int) -> int:
@@ -290,19 +282,6 @@ def is_perfect_square(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if a < 0:
-        a, s0, t0 = -a, -s0, -t0
-    return a, s0, t0
 
 
 def crt(pairs: Iterable[tuple[int, int]]) -> int:

@@ -72,7 +72,6 @@ def _packaged_table(filename: str) -> str:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     config = DecomposeConfig(
-        seed=args.seed,
         scan_limit=args.budget_scan,
         factor_bits=args.budget_factor_bits,
         search_max_n=args.budget_search,
@@ -290,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("n", type=_decimal, metavar="N")
     d.add_argument("--trace", action="store_true", help="print the full audit record")
     d.add_argument("--format", choices=("text", "structured"), default="text")
-    d.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     d.add_argument("--budget-search", type=int, default=_DEFAULTS.search_max_n,
                    help="largest value the exhaustive search will accept")
     d.add_argument("--budget-scan", type=int, default=_DEFAULTS.scan_limit,

@@ -30,9 +30,7 @@ exceptions are routed to the exhaustive search / stored tables instead.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .arith import (
@@ -77,6 +75,9 @@ __all__ = [
 
 # 2 * (4**3 + 5**3 + 8**3): the cube-free part of the six-term identity.
 IDENTITY_CONSTANT = 1402
+
+# candidate primes examined per composite modulus scan
+PRIME_SCAN_LIMIT = 200_000
 
 
 class ConstructionError(Exception):
@@ -162,21 +163,6 @@ class TernaryRep(NamedTuple):
 
     def q(self) -> int:
         return self.x1 * self.x1 + 2 * self.x3 * self.x3 + 5 * self.y * self.y
-
-
-def _represent_brute(q: int) -> TernaryRep | None:
-    """Complete ascending scan over y, then x3, solving for x1."""
-    y = 0
-    while 5 * y * y <= q:
-        r1 = q - 5 * y * y
-        x3 = 0
-        while 2 * x3 * x3 <= r1:
-            x1 = is_perfect_square(r1 - 2 * x3 * x3)
-            if x1 is not None:
-                return TernaryRep(x1, x3, y)
-            x3 += 1
-        y += 1
-    return None
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -266,24 +252,36 @@ def _binary_part(m: int) -> tuple[int, int] | None:
     return None
 
 
-def represent_ternary(
-    q: int,
-    *,
-    brute_limit: int = 10**8,
-    fiber_budget: int = 50_000,
-    random_budget: int = 50_000,
-    seed: int = 0,
-) -> TernaryRep:
+# q up to this bound gets a complete scan of every fiber; above it a fiber
+# counts only when _binary_part certifies it
+COMPLETE_FIBER_LIMIT = 10**8
+# fibers represent_ternary tries before it gives up; the most any residual
+# needed was 1495 for 1290 targets of 19-61 digits and 3655 for 90 targets
+# of 250-350 digits
+FIBER_BUDGET = 50_000
+
+
+def _fiber_pair(m: int) -> tuple[int, int] | None:
+    """(a, b) with a*a + 2*b*b == m and b smallest, or None: complete scan."""
+    b = 0
+    while 2 * b * b <= m:
+        a = is_perfect_square(m - 2 * b * b)
+        if a is not None:
+            return a, b
+        b += 1
+    return None
+
+
+def represent_ternary(q: int) -> TernaryRep:
     """A witness for q = x1**2 + 2*x3**2 + 5*y**2.
 
-    Raises ConstructionError for the excluded shapes 25**k * (10 or 15 mod 25);
-    every other nonnegative q is representable and a witness is returned.
-    Small q get a complete ascending scan.  Large q first peel their 5-adic
-    part, then split along fibers in y whose binary remainder is certified
-    by cheap shape tests (squares, primes == 1, 3 mod 8, twice or 4**j times
-    those); ascending fibers up to `fiber_budget`, then seeded random fibers,
-    then — as a last resort — the complete scan, so the function is
-    deterministic and total.
+    Raises ConstructionError for the excluded shapes 25**k * (10 or 15 mod 25).
+    Otherwise walks the fibers y = 0, 1, 2, ... and solves a*a + 2*b*b = m
+    on each: completely for q <= COMPLETE_FIBER_LIMIT, which returns the
+    witness with the smallest (y, x3), and above it only for the shapes
+    _binary_part certifies (squares, primes == 1, 3 mod 8, twice or 4**j
+    times those).  Raises OutOfScopeError when FIBER_BUDGET fibers, or all
+    of them, yield no witness; decompose then tries its next modulus.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -291,74 +289,30 @@ def represent_ternary(
         raise ConstructionError(f"{q} = 25**k * (25*m + 10 or 15) has no ternary witness")
     if q == 0:
         return TernaryRep(0, 0, 0)
-    if q <= brute_limit:
-        rep = _represent_brute(q)
-        if rep is None:
-            raise ConstructionError(f"complete scan found no witness for {q}")
-        assert rep.q() == q
-        return rep
 
     # peel the 5-adic part: the whole form scales by 25, and when exactly one
     # factor 5 remains, x1 and x3 are forced to multiples of 5 (2 is not a
-    # square mod 5), leaving a*a + 2*b*b = (q/5 - y*y)/5 with y*y == q/5 (mod 5)
+    # square mod 5), leaving a*a + 2*b*b = (core - 5*y*y)/25 on the fibers
+    # with y*y == core/5 (mod 5)
     scale5, core = 1, q
     while core % 25 == 0:
         core //= 25
         scale5 *= 5
-    if core % 5:
-        y_max = isqrt(core // 5)
-
-        def fiber(y: int) -> TernaryRep | None:
-            m = core - 5 * y * y
-            if m < 0:
-                return None
-            pair = _binary_part(m)
-            if pair is None:
-                return None
-            return TernaryRep(pair[0], pair[1], y)
-
-        def valid(y: int) -> bool:
-            return True
-
-    else:
-        q0 = core // 5
-        y_max = isqrt(q0)
-
-        def fiber(y: int) -> TernaryRep | None:
-            m, rem = divmod(q0 - y * y, 5)
-            if rem or m < 0:
-                return None
-            pair = _binary_part(m)
-            if pair is None:
-                return None
-            return TernaryRep(5 * pair[0], 5 * pair[1], y)
-
-        def valid(y: int) -> bool:
-            return (q0 - y * y) % 5 == 0
-
-    tried = 0
-    y = 0
-    while y <= y_max and tried < fiber_budget:
-        if valid(y):
+    unit = 5 if core % 5 == 0 else 1
+    solve = _fiber_pair if q <= COMPLETE_FIBER_LIMIT else _binary_part
+    tried = y = 0
+    while 5 * y * y <= core and tried < FIBER_BUDGET:
+        m, rem = divmod(core - 5 * y * y, unit * unit)
+        if not rem:
             tried += 1
-            rep = fiber(y)
-            if rep is not None:
-                rep = TernaryRep(*(scale5 * c for c in rep))
+            pair = solve(m)
+            if pair is not None:
+                a, b = pair
+                rep = TernaryRep(scale5 * unit * a, scale5 * unit * b, scale5 * y)
                 assert rep.q() == q
                 return rep
         y += 1
-    rng = random.Random(seed)
-    for _ in range(random_budget):
-        rep = fiber(rng.randint(0, y_max))
-        if rep is not None:
-            rep = TernaryRep(*(scale5 * c for c in rep))
-            assert rep.q() == q
-            return rep
-    rep = _represent_brute(q)
-    if rep is None:
-        raise ConstructionError(f"complete scan found no witness for {q}")
-    assert rep.q() == q
-    return rep
+    raise OutOfScopeError(f"no ternary witness for {q} in {tried} fibers")
 
 
 def assemble_cubes(
@@ -399,26 +353,20 @@ def verify(cubes, n: int) -> bool:
 
 @dataclass(frozen=True)
 class DecomposeConfig:
-    """Budgets and determinism knobs for decompose().
+    """Budgets for decompose().
 
-    seed              seeds the (rarely reached) random fiber phase;
-    scan_limit        candidate values examined per direct modulus scan;
-    prime_scan_limit  candidate primes examined per composite scan;
-    factor_bits       size cap for exact factorisation of candidates;
-    ternary_brute_limit  largest q handled by the complete ternary scan;
-    fiber_budget / fiber_random_budget  fiber attempts for large q;
-    search_max_n / search_window  budget of the exhaustive seven-cube search.
+    scan_limit    candidate values examined per direct modulus scan;
+    factor_bits   size cap for exact factorisation of candidates;
+    search_max_n  largest n0 the exhaustive seven-cube search accepts.
+
+    The ternary step has a fixed budget of its own (FIBER_BUDGET fibers per
+    modulus); a modulus whose residual exhausts it is skipped like one whose
+    residual is excluded.
     """
 
-    seed: int = 0
     scan_limit: int = 500_000
-    prime_scan_limit: int = 200_000
     factor_bits: int = 96
-    ternary_brute_limit: int = 10**8
-    fiber_budget: int = 50_000
-    fiber_random_budget: int = 50_000
     search_max_n: int = 10**8
-    search_window: int = 10**6
 
 
 @dataclass
@@ -484,7 +432,7 @@ def _candidate_moduli(
     p_lo, p_hi = prime_bounds
     if p_lo <= p_hi:
         for b in steering_residues(n).candidates:
-            yield from iter_moduli_composite(n, b, scan_limit=config.prime_scan_limit)
+            yield from iter_moduli_composite(n, b, scan_limit=PRIME_SCAN_LIMIT)
 
 
 def _construct(n: int, config: DecomposeConfig) -> Trace | None:
@@ -504,13 +452,10 @@ def _construct(n: int, config: DecomposeConfig) -> Trace | None:
             continue
         if dickson_excluded(q):
             continue
-        rep = represent_ternary(
-            q,
-            brute_limit=config.ternary_brute_limit,
-            fiber_budget=config.fiber_budget,
-            random_budget=config.fiber_random_budget,
-            seed=config.seed,
-        )
+        try:
+            rep = represent_ternary(q)
+        except OutOfScopeError:
+            continue
         cubes = assemble_cubes(n, modulus.value, x0, rep)
         return Trace(
             n=n,
@@ -595,7 +540,7 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
             trace.recheck()
             return trace
 
-    budget = SearchBudget(max_n=cfg.search_max_n, window=cfg.search_window)
+    budget = SearchBudget(max_n=cfg.search_max_n)
     try:
         found = search_seven(n0, budget)
     except SearchLimitError as exc:

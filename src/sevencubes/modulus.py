@@ -25,7 +25,6 @@ from functools import lru_cache
 from .arith import (
     TRIAL_DIVISION_BOUND,
     FactorBudgetError,
-    crt,
     factorize,
     integer_cbrt,
     is_prime,
@@ -41,9 +40,6 @@ __all__ = [
     "admissible_factors",
     "base_window_table",
     "find_covering_window",
-    "find_modulus_composite",
-    "find_modulus_direct",
-    "is_admissible_modulus",
     "iter_moduli_composite",
     "iter_moduli_direct",
     "modulus_interval",
@@ -148,11 +144,6 @@ def admissible_factors(n: int, *, bit_budget: int = 96) -> tuple[int, ...] | Non
     return tuple(primes) + (m,) if m % 6 == 5 else None
 
 
-def is_admissible_modulus(n: int, *, bit_budget: int = 96) -> bool:
-    """True iff n is squarefree with all prime factors = 5 (mod 6)."""
-    return admissible_factors(n, bit_budget=bit_budget) is not None
-
-
 def steering_residues(n: int) -> SteeringChoice:
     """Residues b mod 25 such that steering the modulus into b keeps the
     residual quotient q out of the classes 0, 10, 15 (mod 25) that the
@@ -204,33 +195,24 @@ def modulus_interval(n: int) -> tuple[int, int]:
 
 def iter_moduli_direct(
     n: int,
-    residue_mod25: int | None = None,
     *,
     scan_limit: int | None = None,
     bit_budget: int = 96,
 ):
     """Admissible moduli for n in ascending order, scanned directly.
 
-    Candidates obey the size interval and m = n/2 (mod 4); when
-    `residue_mod25` is given they are further pinned to that class mod 25.
-    Candidates whose factorization exceeds the bit budget are skipped; if
-    even the smallest candidate is over budget the scan yields nothing.
+    Candidates obey the size interval and m = n/2 (mod 4).  Candidates whose
+    factorization exceeds the bit budget are skipped; if even the smallest
+    candidate is over budget the scan yields nothing.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")
     lo, hi = modulus_interval(n)
     if lo > hi or lo.bit_length() > bit_budget:
         return
-    r4 = (n // 2) % 4
-    if residue_mod25 is None:
-        step, target = 4, r4
-    else:
-        if residue_mod25 % 25 == 0:
-            raise ValueError("steering residue must be nonzero mod 25")
-        step, target = 100, crt([(residue_mod25, 25), (r4, 4)])
-    first = lo + (target - lo) % step
+    first = lo + ((n // 2) - lo) % 4
     examined = 0
-    for cand in range(first, hi + 1, step):
+    for cand in range(first, hi + 1, 4):
         if scan_limit is not None and examined >= scan_limit:
             return
         examined += 1
@@ -240,21 +222,6 @@ def iter_moduli_direct(
             continue
         if fac is not None:
             yield AuxModulus(cand, fac)
-
-
-def find_modulus_direct(
-    n: int,
-    residue_mod25: int | None = None,
-    *,
-    scan_limit: int | None = None,
-    bit_budget: int = 96,
-) -> AuxModulus | None:
-    """Smallest admissible m with modulus_valid(n, m) and m = n/2 (mod 4),
-    optionally pinned to a class mod 25; None when the interval holds none."""
-    return next(
-        iter_moduli_direct(n, residue_mod25, scan_limit=scan_limit, bit_budget=bit_budget),
-        None,
-    )
 
 
 # -- the base window ---------------------------------------------------------
@@ -416,14 +383,3 @@ def iter_moduli_composite(
             if not modulus_valid(n, m):
                 raise AssertionError("conservative prime bounds admitted an invalid modulus")
             yield AuxModulus(m, tuple(sorted(m0_factors + (p,))))
-
-
-def find_modulus_composite(
-    n: int,
-    residue_mod25: int,
-    *,
-    scan_limit: int | None = None,
-) -> AuxModulus | None:
-    """First modulus from the two-factor route, or None when the prime
-    interval is empty or the scan budget runs out."""
-    return next(iter_moduli_composite(n, residue_mod25, scan_limit=scan_limit), None)

@@ -4,10 +4,16 @@ Exit-code contract: 0 success, 1 negative result or failed certificate,
 2 usage error (argparse), 3 exhausted budget.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sevencubes
 from sevencubes.cli import main
 
 
@@ -212,3 +218,20 @@ def test_selftest_deterministic(capsys):
     assert payload["ok"] is True
     assert payload["worked_example"]["p_value"] == 5
     assert payload["worked_example"]["q"] == 225
+
+
+# sha256 of the selftest output; a change to anything it reports (tables,
+# certificates, the worked example, the moduli and anchors of five large
+# targets) changes it
+SELFTEST_SHA256 = "826fbbd2958f6f686f7bc176c7463366c9bae765b91aebcef173f79d2df1b4e1"
+
+
+def test_selftest_output_pinned():
+    src = str(Path(sevencubes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-m", "sevencubes", "selftest"],
+        env=env, capture_output=True, check=True, timeout=120,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == SELFTEST_SHA256

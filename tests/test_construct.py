@@ -6,11 +6,13 @@ against a brute-force three-square scan.
 """
 
 import json
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevencubes import construct
 from sevencubes.construct import (
     IDENTITY_CONSTANT,
     ConstructionError,
@@ -121,23 +123,24 @@ def test_residual_quotient_rejects_negative():
 # -- exclusion predicate -------------------------------------------------------
 
 
-def brute_has_representation(q):
+def smallest_ternary(q):
+    """The witness of q = x1**2 + 2*x3**2 + 5*y**2 with the smallest (y, x3),
+    or None, by brute force."""
     y = 0
     while 5 * y * y <= q:
         x3 = 0
         while 5 * y * y + 2 * x3 * x3 <= q:
             r = q - 5 * y * y - 2 * x3 * x3
-            s = int(r**0.5)
-            if any((s + d) ** 2 == r for d in (-1, 0, 1, 2)):
-                return True
+            if isqrt(r) ** 2 == r:
+                return TernaryRep(isqrt(r), x3, y)
             x3 += 1
         y += 1
-    return False
+    return None
 
 
 def test_dickson_excluded_matches_brute_force():
     for q in range(0, 4000):
-        assert dickson_excluded(q) == (q > 0 and not brute_has_representation(q)), q
+        assert dickson_excluded(q) == (smallest_ternary(q) is None), q
 
 
 def test_dickson_excluded_spot():
@@ -173,10 +176,40 @@ def test_represent_ternary_roundtrip(q):
     assert rep.x1 >= 0 and rep.x3 >= 0 and rep.y >= 0
 
 
+def test_represent_ternary_smallest_witness():
+    # small q are solved completely on every fiber: the witness is the one
+    # with the smallest (y, x3), as a plain scan of the whole form finds it
+    for q in range(20_001):
+        if not dickson_excluded(q):
+            assert represent_ternary(q) == smallest_ternary(q), q
+
+
 def test_represent_ternary_deterministic():
-    reps = {represent_ternary(123456789, brute_limit=10**6) for _ in range(3)}
+    q = 10**9 + 7  # above COMPLETE_FIBER_LIMIT: certified fibers only
+    assert q > construct.COMPLETE_FIBER_LIMIT and not dickson_excluded(q)
+    reps = {represent_ternary(q) for _ in range(3)}
     assert len(reps) == 1
-    assert reps.pop().q() == 123456789
+    assert reps.pop().q() == q
+
+
+def test_represent_ternary_fiber_budget(monkeypatch):
+    q = 10**16 + 1  # its first certified fiber is y = 9
+    real = construct._binary_part
+    fibers = []
+    monkeypatch.setattr(construct, "_binary_part", lambda m: fibers.append(m) or real(m))
+    monkeypatch.setattr(construct, "FIBER_BUDGET", 1)
+    with pytest.raises(OutOfScopeError):
+        represent_ternary(q)
+    assert len(fibers) == 1
+
+
+def test_decompose_skips_modulus_over_fiber_budget(monkeypatch):
+    n = 10**18 + 2
+    default = decompose(n)
+    monkeypatch.setattr(construct, "FIBER_BUDGET", 1)
+    tr = decompose(n)  # the first moduli's residuals need more than one fiber
+    assert tr.branch == "construction" and tr.verified
+    assert tr.p_value > default.p_value
 
 
 def test_represent_ternary_large_fiber():

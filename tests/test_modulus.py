@@ -24,9 +24,6 @@ from sevencubes.modulus import (
     base_window_table,
     composite_prime_bounds,
     find_covering_window,
-    find_modulus_composite,
-    find_modulus_direct,
-    is_admissible_modulus,
     iter_moduli_composite,
     iter_moduli_direct,
     modulus_interval,
@@ -149,7 +146,7 @@ def test_aux_modulus_validation():
         AuxModulus(55, (11, 5))
     with pytest.raises(ValueError):
         AuxModulus(56, (5, 11))
-    assert is_admissible_modulus(26669) and not is_admissible_modulus(26670)
+    assert admissible_factors(26669) == (26669,) and admissible_factors(26670) is None
 
 
 # -- steering -----------------------------------------------------------------
@@ -225,9 +222,9 @@ def test_modulus_valid():
 
 
 def test_find_modulus_direct_worked_example():
-    m = find_modulus_direct(202258)
+    m = next(iter_moduli_direct(202258), None)
     assert m is not None and m.value == 5 and m.primes == (5,)
-    assert find_modulus_direct(10**6 + 2) is None
+    assert next(iter_moduli_direct(10**6 + 2), None) is None
 
 
 def test_iter_moduli_direct_properties():
@@ -239,12 +236,8 @@ def test_iter_moduli_direct_properties():
         assert lo <= m.value <= hi
         assert m.value % 4 == (n // 2) % 4
         assert admissible_factors(m.value) == m.primes
-    pinned = [m.value for m in iter_moduli_direct(n, 7)]
-    assert all(v % 25 == 7 for v in pinned)
     with pytest.raises(ValueError):
         next(iter_moduli_direct(10**6))  # n == 0 (mod 4)
-    with pytest.raises(ValueError):
-        next(iter_moduli_direct(n, 25))
 
 
 def test_iter_moduli_direct_scan_limit():
@@ -311,8 +304,7 @@ def test_composite_prime_bounds_conservative():
 def test_find_modulus_composite_all_residues():
     n = 10**30 + 2
     for b in range(1, 25):
-        m = find_modulus_composite(n, b)
-        assert m is not None, b
+        m = next(iter_moduli_composite(n, b))
         assert m.value % 25 == b
         assert modulus_valid(n, m.value)
         assert m.value % 4 == (n // 2) % 4
