@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-import numpy as np
-
 from .construct import IDENTITY_CONSTANT, dickson_excluded
 from .modulus import (
     VALID_HI,
@@ -274,6 +272,8 @@ def _max_consecutive_ratio(elements) -> tuple[int, int]:
     if len(elements) < 2:
         raise ValueError("need at least two elements to measure a gap")
     if int(max(elements)) ** 2 < 2**63:
+        import numpy as np
+
         # vectorised prefilter; int64 cross products cannot overflow here
         el = np.asarray(elements, dtype=np.int64)
         cur, nxt = el[:-1], el[1:]
@@ -299,7 +299,10 @@ def _max_consecutive_ratio(elements) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=4)
-def _prime_mask(limit: int) -> np.ndarray:
+def _prime_mask(limit: int):
+    """Boolean numpy array, True exactly at the primes up to limit."""
+    import numpy as np
+
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -320,6 +323,8 @@ def prime_gap_certificate(
 
     The sieve and the ratio scan are exact.
     """
+    import numpy as np
+
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     mask = _prime_mask(hi)
@@ -343,6 +348,8 @@ def prime_gap_certificate(
 @lru_cache(maxsize=4)
 def _admissible_elements(lo: int, hi: int) -> tuple[int, ...]:
     """All admissible values (squarefree, prime factors == 5 mod 6) in [lo, hi]."""
+    import numpy as np
+
     spf = np.arange(hi + 1, dtype=np.int64)
     for p in range(2, isqrt(hi) + 1):
         if spf[p] == p:
@@ -405,6 +412,8 @@ def dickson_report(limit: int) -> dict:
     25**k * (25*m + 10 or 15) as well as exactly where dickson_excluded()
     says True.
     """
+    import numpy as np
+
     if limit < 25:
         raise ValueError("limit too small to say anything")
     reachable = np.zeros(limit + 1, dtype=bool)

@@ -31,6 +31,7 @@ exceptions are routed to the exhaustive search / stored tables instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt, prod
 from typing import Iterator, NamedTuple
 
 from .arith import (
@@ -45,6 +46,7 @@ from .modulus import (
     iter_moduli_composite,
     iter_moduli_direct,
     modulus_interval,
+    modulus_valid,
     steering_residues,
 )
 from .search import (
@@ -256,7 +258,7 @@ def _binary_part(m: int) -> tuple[int, int] | None:
 # counts only when _binary_part certifies it
 COMPLETE_FIBER_LIMIT = 10**8
 # fibers represent_ternary tries before it gives up; the most any residual
-# needed was 1495 for 1290 targets of 19-61 digits and 3655 for 90 targets
+# needed was 560 for 1290 targets of 19-61 digits and 2322 for 90 targets
 # of 250-350 digits
 FIBER_BUDGET = 50_000
 
@@ -276,12 +278,19 @@ def represent_ternary(q: int) -> TernaryRep:
     """A witness for q = x1**2 + 2*x3**2 + 5*y**2.
 
     Raises ConstructionError for the excluded shapes 25**k * (10 or 15 mod 25).
-    Otherwise walks the fibers y = 0, 1, 2, ... and solves a*a + 2*b*b = m
-    on each: completely for q <= COMPLETE_FIBER_LIMIT, which returns the
-    witness with the smallest (y, x3), and above it only for the shapes
-    _binary_part certifies (squares, primes == 1, 3 mod 8, twice or 4**j
-    times those).  Raises OutOfScopeError when FIBER_BUDGET fibers, or all
-    of them, yield no witness; decompose then tries its next modulus.
+    Otherwise solves a*a + 2*b*b = m = core - 5*y*y on the fibers y, where
+    core is q with its 5-adic part peeled:
+
+    * q <= COMPLETE_FIBER_LIMIT: y = 0, 1, 2, ... upward, each fiber solved
+      completely, so the witness is the one with the smallest (y, x3);
+    * above it: y = isqrt(core // 5) downward, a fiber counting only when
+      _binary_part certifies it (squares, primes == 1, 3 mod 8, twice or 4**j
+      times those).  The j-th fiber from the top has m about
+      2*j*sqrt(5*core), half the bits of q, so each primality test is several
+      times cheaper and twice as likely to succeed as near y = 0.
+
+    Raises OutOfScopeError when FIBER_BUDGET fibers, or all of them, yield no
+    witness; decompose then tries its next modulus.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -299,19 +308,25 @@ def represent_ternary(q: int) -> TernaryRep:
         core //= 25
         scale5 *= 5
     unit = 5 if core % 5 == 0 else 1
-    solve = _fiber_pair if q <= COMPLETE_FIBER_LIMIT else _binary_part
-    tried = y = 0
-    while 5 * y * y <= core and tried < FIBER_BUDGET:
+    top = isqrt(core // 5)
+    if q <= COMPLETE_FIBER_LIMIT:
+        solve, fibers = _fiber_pair, range(top + 1)
+    else:
+        solve, fibers = _binary_part, range(top, -1, -1)
+    tried = 0
+    for y in fibers:
         m, rem = divmod(core - 5 * y * y, unit * unit)
-        if not rem:
-            tried += 1
-            pair = solve(m)
-            if pair is not None:
-                a, b = pair
-                rep = TernaryRep(scale5 * unit * a, scale5 * unit * b, scale5 * y)
-                assert rep.q() == q
-                return rep
-        y += 1
+        if rem:
+            continue
+        if tried == FIBER_BUDGET:
+            break
+        tried += 1
+        pair = solve(m)
+        if pair is not None:
+            a, b = pair
+            rep = TernaryRep(scale5 * unit * a, scale5 * unit * b, scale5 * y)
+            assert rep.q() == q
+            return rep
     raise OutOfScopeError(f"no ternary witness for {q} in {tried} fibers")
 
 
@@ -397,8 +412,43 @@ class Trace:
     probable_primes: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def recheck(self) -> bool:
-        self.verified = verify(self.cubes, self.n)
+        """Re-derive `verified` from the recorded fields alone.
+
+        Always: the seven cubes sum to n and n == n0 * 125**e.  On traces with
+        a modulus, also every step of the identity route (_route_holds).
+        """
+        self.verified = (
+            verify(self.cubes, self.n)
+            and self.n0 * 125**self.e == self.n
+            and (self.p_value is None or self._route_holds())
+        )
         return self.verified
+
+    def _route_holds(self) -> bool:
+        """The identity route, checked exactly without any primality test:
+        p in its window for n0; its factors distinct, == 5 (mod 6) and with
+        product p; the anchor x0 positive and even; the residual
+        24*p*q == n0 - x0**3 - 1402*p**3, which also gives the anchor
+        congruence x0**3 == n0 - 1402*p**3 (mod 6p); the witness
+        q == x1**2 + 2*x3**2 + 5*(x2/2)**2; and the cubes equal to
+        5**e * (x0, 4p +- x1, 5p +- x2, 8p +- x3)."""
+        p, n0, x0, q = self.p_value, self.n0, self.x0, self.q
+        x1, x2, x3, factors = self.x1, self.x2, self.x3, self.p_factors
+        if None in (factors, x0, q, x1, x2, x3):
+            return False
+        bases = (x0, 4 * p + x1, 4 * p - x1, 5 * p + x2, 5 * p - x2, 8 * p + x3, 8 * p - x3)
+        return (
+            modulus_valid(n0, p)
+            and len(set(factors)) == len(factors)
+            and all(f % 6 == 5 for f in factors)
+            and prod(factors) == p
+            and x0 > 0
+            and x0 % 2 == 0
+            and n0 - x0**3 - IDENTITY_CONSTANT * p**3 == 24 * p * q
+            and x2 % 2 == 0
+            and q == x1 * x1 + 2 * x3 * x3 + 5 * (x2 // 2) ** 2
+            and self.cubes == tuple(5**self.e * c for c in bases)
+        )
 
     def to_record(self) -> dict:
         """Serialisable record with a fixed 14-key layout."""

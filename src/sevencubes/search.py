@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import integer_cbrt
 
 __all__ = [
@@ -153,6 +151,8 @@ def exception_scan(limit: int, budget: SearchBudget | None = None) -> list[int]:
     Uses a layered reachability sieve (seven rounds of 'add one cube'),
     independent of the backtracking path in search_seven.
     """
+    import numpy as np
+
     bud = budget or SearchBudget()
     if limit > bud.max_n:
         raise SearchLimitError(f"{limit} exceeds the search budget {bud.max_n}")

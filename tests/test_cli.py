@@ -226,12 +226,29 @@ def test_selftest_deterministic(capsys):
 SELFTEST_SHA256 = "826fbbd2958f6f686f7bc176c7463366c9bae765b91aebcef173f79d2df1b4e1"
 
 
-def test_selftest_output_pinned():
+def _python(*args: str) -> bytes:
+    """stdout of a fresh interpreter that imports this checkout's package."""
     src = str(Path(sevencubes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run(
-        [sys.executable, "-m", "sevencubes", "selftest"],
-        env=env, capture_output=True, check=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, check=True, timeout=120,
     ).stdout
+
+
+def test_selftest_output_pinned():
+    out = _python("-m", "sevencubes", "selftest")
     assert hashlib.sha256(out).hexdigest() == SELFTEST_SHA256
+
+
+def test_decompose_command_never_imports_numpy():
+    # only the certify reports and the exception sieve need numpy; the
+    # decompose command should not pay for importing it
+    code = (
+        "import sys\n"
+        "from sevencubes.cli import main\n"
+        "for n in ('202258', '999999', str(10**39 + 2)):\n"
+        "    main(['decompose', n])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _python("-c", code).splitlines()[-1] == b"False"

@@ -5,7 +5,9 @@ frozen end to end, and the ternary-form exclusion predicate is checked
 against a brute-force three-square scan.
 """
 
+import hashlib
 import json
+from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -193,7 +195,7 @@ def test_represent_ternary_deterministic():
 
 
 def test_represent_ternary_fiber_budget(monkeypatch):
-    q = 10**16 + 1  # its first certified fiber is y = 9
+    q = 10**16 + 1  # the walk starts at y = 44721359; the 96th fiber certifies
     real = construct._binary_part
     fibers = []
     monkeypatch.setattr(construct, "_binary_part", lambda m: fibers.append(m) or real(m))
@@ -204,7 +206,7 @@ def test_represent_ternary_fiber_budget(monkeypatch):
 
 
 def test_decompose_skips_modulus_over_fiber_budget(monkeypatch):
-    n = 10**18 + 2
+    n = 10**18 + 6
     default = decompose(n)
     monkeypatch.setattr(construct, "FIBER_BUDGET", 1)
     tr = decompose(n)  # the first moduli's residuals need more than one fiber
@@ -234,6 +236,39 @@ def test_represent_ternary_large_even_classes():
     assert q % 8 == 2
     rep = represent_ternary(q)
     assert rep.q() == q
+
+
+# (x1, x3) of represent_ternary(q) above COMPLETE_FIBER_LIMIT; with q they fix y
+CERTIFIED_WITNESSES = {
+    10**9 + 7: (1305, 79),
+    10**39 + 3: (21202496886, 11400638659),
+    10**199 + 9: (
+        249970729268769548480630045391874968284508867527946,
+        553439099776530010095247014921804306548046568603478,
+    ),
+    5 * (10**40 + 1): (9762577480, 213195558210),  # 5 exactly divides q
+    10**20 + 2: (543620, 738519),  # q == 2 (mod 8)
+    25**3 * (10**30 + 1): (17165145750, 19355513750),
+}
+
+
+def test_represent_ternary_certified_witnesses_pinned():
+    # the fiber walk order and the certificate decide these witnesses; a change
+    # to either shows here (the selftest records no witness above 10**8)
+    for q, (x1, x3) in CERTIFIED_WITNESSES.items():
+        assert q > construct.COMPLETE_FIBER_LIMIT
+        rep = represent_ternary(q)
+        assert (rep.x1, rep.x3) == (x1, x3), q
+        assert rep.q() == q
+
+
+def test_decompose_300_digit_record_pinned():
+    tr = decompose(10**299 + 6)
+    record = tr.to_record()
+    assert record["branch"] == "construction" and record["verified"] is True
+    assert record["p_factors"][0] == 26141
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digest == "2d4aa69f8f9b6ff4f7f5c4a0658ef2b89b6485f0770746662f8e76650d4ecaa5"
 
 
 def test_binary_part_shapes():
@@ -406,7 +441,52 @@ def test_trace_record_layout():
     assert record["verified"] is True
 
 
+def _identity_trace(p, factors, x0, x1, x2, x3, e=0):
+    """A trace whose fields satisfy the six-cube identity exactly, whatever
+    p, its factors and x0 are."""
+    q = x1 * x1 + 2 * x3 * x3 + 5 * (x2 // 2) ** 2
+    n0 = x0**3 + IDENTITY_CONSTANT * p**3 + 24 * p * q
+    bases = (x0, 4 * p + x1, 4 * p - x1, 5 * p + x2, 5 * p - x2, 8 * p + x3, 8 * p - x3)
+    return Trace(
+        n=n0 * 125**e, n0=n0, e=e, branch="scaled" if e else "construction",
+        cubes=tuple(5**e * c for c in bases), p_value=p, p_factors=factors,
+        b=p % 25, x0=x0, q=q, x1=x1, x2=x2, x3=x3,
+    )
+
+
+def test_trace_recheck_accepts_identity_traces():
+    worked = _identity_trace(5, (5,), 2, 15, 0, 0)
+    assert worked.recheck() and worked == decompose(202258)
+    assert _identity_trace(5, (5,), 2, 15, 0, 0, e=2).recheck()
+    for n in (1626, 202258, 125**2 * 202258, 10**18 + 2, 10**299 + 6, 999999, 125 * 23):
+        assert decompose(n).recheck(), n
+
+
 def test_trace_recheck_detects_tampering():
     tr = decompose(1626)
     tr.cubes = (2, 7, 1, 5, 5, 8, 9)
     assert not tr.recheck() and not tr.verified
+
+    real = decompose(10**18 + 2)  # p = 82445 = 5 * 11 * 1499
+    assert real.p_factors == (5, 11, 1499)
+    fallback = decompose(999999)
+    assert fallback.branch == "fallback"
+    scaled = decompose(125 * 202258)
+    tampered = {
+        "n0 * 125**e != n (fallback)": replace(fallback, n0=fallback.n0 + 1),
+        "n0 * 125**e != n (scaled)": replace(scaled, e=2),
+        "p below its window": _identity_trace(5, (5,), 2, 0, 0, 0),
+        "repeated factor": _identity_trace(25, (5, 5), 152, 0, 0, 0),
+        "factor 1 (mod 6)": _identity_trace(7, (7,), 44, 0, 0, 0),
+        "factors multiply to 55": replace(real, p_factors=(5, 11)),
+        "odd anchor": _identity_trace(5, (5,), 3, 15, 0, 0),
+        "zero anchor": _identity_trace(5, (5,), 0, 15, 0, 1),
+        "missing anchor": replace(real, x0=None),
+        "residual off by one": replace(real, q=real.q + 1),
+        "odd x2": replace(real, x2=real.x2 + 1),
+        "witness does not give q": replace(real, x3=real.x3 + 1),
+        "bases reordered": replace(real, cubes=real.cubes[::-1]),
+    }
+    for why, tr in tampered.items():
+        assert verify(tr.cubes, tr.n), why  # the cube sum alone misses each one
+        assert not tr.recheck() and not tr.verified, why
