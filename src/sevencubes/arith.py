@@ -20,9 +20,11 @@ __all__ = [
     "crt",
     "cube_root_mod_6n",
     "factorize",
+    "has_small_factor",
     "integer_cbrt",
     "is_perfect_square",
     "is_prime",
+    "jacobi",
     "primes_upto",
 ]
 
@@ -65,16 +67,23 @@ def _trial_primes(bound: int) -> tuple[int, ...]:
     return tuple(primes_upto(bound))
 
 
-# One gcd with the product of the primes in (47, _GCD_SIEVE_BOUND] rejects a
+# One gcd with the product of the primes up to _GCD_SIEVE_BOUND rejects a
 # composite with such a factor before any modular exponentiation; about half
-# of the composites that pass the small-prime loop have one.  The gcd costs
-# more as the bound grows: timed on the inputs decompose passes to is_prime,
-# 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower, and came
-# within 7% of 10**4 on ~700-bit values.
+# of the composites that pass is_prime's small-prime loop have one.  The gcd
+# costs more as the bound grows: timed on the inputs decompose passes to
+# is_prime, 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower,
+# and came within 7% of 10**4 on ~700-bit values.
 _GCD_SIEVE_BOUND = 3000
-_GCD_SIEVE_PRODUCT = math.prod(
-    p for p in _trial_primes(_GCD_SIEVE_BOUND) if p > _SMALL_PRIMES[-1]
-)
+_GCD_SIEVE_PRODUCT = math.prod(_trial_primes(_GCD_SIEVE_BOUND))
+
+
+def has_small_factor(n: int) -> bool:
+    """True when n > 3000 has a prime factor up to 3000: n is composite.
+
+    One gcd, no modular exponentiation.  False says nothing about n; at or
+    below the bound a common factor may be n itself, so nothing is rejected.
+    """
+    return n > _GCD_SIEVE_BOUND and math.gcd(n, _GCD_SIEVE_PRODUCT) != 1
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -89,8 +98,8 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def _jacobi(a: int, n: int) -> int:
-    # n odd and positive
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a | n) for odd positive n."""
     a %= n
     result = 1
     while a:
@@ -113,7 +122,7 @@ def _strong_lucas_prp(n: int) -> bool:
         return False
     d = 5
     while True:
-        j = _jacobi(d % n, n)
+        j = jacobi(d % n, n)
         if j == -1:
             break
         if j == 0 and abs(d) % n != 0:
@@ -161,8 +170,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    # below the bound a common factor may be n itself; Miller-Rabin decides there
-    if n > _GCD_SIEVE_BOUND and math.gcd(n, _GCD_SIEVE_PRODUCT) != 1:
+    if has_small_factor(n):
         return False
     d = n - 1
     s = (d & -d).bit_length() - 1

@@ -37,9 +37,12 @@ from typing import Iterator, NamedTuple
 from .arith import (
     PROBABLE_PRIME_THRESHOLD,
     cube_root_mod_6n,
+    has_small_factor,
     is_perfect_square,
-    is_prime,
+    jacobi,
 )
+# unused here: perfbench/tracing.py replaces construct.is_prime by name
+from .arith import is_prime  # noqa: F401
 from .modulus import (
     AuxModulus,
     composite_prime_bounds,
@@ -80,6 +83,10 @@ IDENTITY_CONSTANT = 1402
 
 # candidate primes examined per composite modulus scan
 PRIME_SCAN_LIMIT = 200_000
+
+# _sqrt_minus_two looks for a non-residue below this; for a prime modulus
+# the least one is far smaller, and the cap ends the search on a composite
+_NONRESIDUE_CAP = 1000
 
 
 class ConstructionError(Exception):
@@ -167,36 +174,43 @@ class TernaryRep(NamedTuple):
         return self.x1 * self.x1 + 2 * self.x3 * self.x3 + 5 * self.y * self.y
 
 
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None for non-residues."""
-    a %= p
-    if p == 2:
-        return a
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
+def _sqrt_minus_two(p: int) -> int | None:
+    """r with r*r == -2 (mod p) for odd p == 1, 3 (mod 8), or None.
+
+    For prime p the root always exists.  p need not be prime: a composite p
+    ends in None or a genuine root, at the cost of about one exponentiation.
+    Euler's criterion (-2)**((p-1)/2) == 1 comes first and rejects almost
+    every composite; it is computed as a power of 2, since (-2)**e ==
+    (-1)**e * 2**e and a power of 2 is cheaper than one of a large base.
+    Tonelli-Shanks then takes the first z from 3 with Jacobi symbol -1 (2 is
+    a residue mod p == 1 mod 8), capped, and stops its squaring loop after
+    s steps, so it ends on a composite p.  No prime is proven.
+    """
+    if p % 8 == 3:
+        r = pow(2, (p + 1) // 4, p)  # +-(-2)**((p+1)/4): r*r == -2 iff Euler holds
+        return r if (r * r + 2) % p == 0 else None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    e = (q - 1) // 2
+    w = pow(2, e, p)
+    if e % 2:
+        w = p - w  # w == (-2)**e
+    r = (p - 2) * w % p  # (-2)**((q+1)/2)
+    t = r * w % p  # (-2)**q, so r*r == -2*t
+    if pow(t, 1 << (s - 1), p) != 1:  # Euler's criterion
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
-        r = pow(a, (p + 3) // 8, p)
-        if r * r % p != a:
-            r = r * pow(2, (p - 1) // 4, p) % p
-        return r
-    # Tonelli-Shanks for p == 1 (mod 8).
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    z = next((z for z in range(3, _NONRESIDUE_CAP) if jacobi(z, p) == -1), None)
+    if z is None:
+        return None
+    m, c = s, pow(z, q, p)
     while t != 1:
+        # least i < m with t**(2**i) == 1; a prime p always has one
         i, t2 = 0, t
         while t2 != 1:
-            t2 = t2 * t2 % p
             i += 1
+            if i == m:
+                return None
+            t2 = t2 * t2 % p
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t = t * c % p
@@ -204,13 +218,18 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def _cornacchia_two(p: int) -> tuple[int, int]:
-    """(x, y) with x*x + 2*y*y == p for a prime p == 1 or 3 (mod 8)."""
-    if p == 2:
-        return 0, 1
-    root = _sqrt_mod_prime(p - 2, p)  # square root of -2
+def _cornacchia_two(p: int) -> tuple[int, int] | None:
+    """(x, y) with x*x + 2*y*y == p for odd p == 1 or 3 (mod 8), or None.
+
+    The descent ends on x and accepts it only when (p - x*x)/2 is a perfect
+    square, so a returned pair satisfies the identity exactly, whatever p
+    is.  That identity is the certificate: p need not be proven prime.  For
+    a prime p it always finds the pair (unique up to sign); a composite p
+    may give None even when a pair exists.
+    """
+    root = _sqrt_minus_two(p)
     if root is None:
-        raise ConstructionError(f"-2 is not a square modulo {p}")
+        return None
     for r in (root, p - root):
         a, b = p, r
         while b * b > p:
@@ -220,16 +239,19 @@ def _cornacchia_two(p: int) -> tuple[int, int]:
             y = is_perfect_square(y2)
             if y is not None:
                 return b, y
-    raise ConstructionError(f"descent found no x**2 + 2*y**2 = {p}")
+    return None
 
 
 def _binary_part(m: int) -> tuple[int, int] | None:
-    """(a, b) with a*a + 2*b*b == m for cheaply certifiable shapes, else None.
+    """(a, b) with a*a + 2*b*b == m for cheaply certified shapes, else None.
 
-    Accepts 0, perfect squares, and 4**j times either 2, a prime == 1, 3
-    (mod 8), or twice such a prime (the form scales by 4, and
-    2*(a*a + 2*b*b) == (2b)**2 + 2*a*a).  None is not a proof that m has no
-    such form, only that this shortcut does not certify one.
+    Accepts 0, perfect squares, and 4**j times 2, an odd t == 1, 3 (mod 8),
+    or twice such a t (the form scales by 4, and 2*(a*a + 2*b*b) ==
+    (2b)**2 + 2*a*a), when _cornacchia_two finds t's pair.  The identity
+    checked there certifies the pair; no prime is proven.  One gcd first
+    rejects t with a prime factor up to 3000, which would cost Cornacchia a
+    modular exponentiation.  None is not a proof that m has no such form,
+    only that this shortcut finds none.
     """
     if m == 0:
         return (0, 0)
@@ -242,16 +264,16 @@ def _binary_part(m: int) -> tuple[int, int] | None:
         scale *= 2
     if t == 2:
         return (0, scale)
-    if t % 2:
-        if t % 8 in (1, 3) and is_prime(t):
-            a, b = _cornacchia_two(t)
-            return (a * scale, b * scale)
+    swap = t % 2 == 0
+    if swap:
+        t //= 2
+    if t % 8 not in (1, 3) or has_small_factor(t):
         return None
-    u = t // 2
-    if u % 8 in (1, 3) and is_prime(u):
-        a, b = _cornacchia_two(u)
-        return (2 * b * scale, a * scale)
-    return None
+    pair = _cornacchia_two(t)
+    if pair is None:
+        return None
+    a, b = pair
+    return (2 * b * scale, a * scale) if swap else (a * scale, b * scale)
 
 
 # q up to this bound gets a complete scan of every fiber; above it a fiber
@@ -284,10 +306,12 @@ def represent_ternary(q: int) -> TernaryRep:
     * q <= COMPLETE_FIBER_LIMIT: y = 0, 1, 2, ... upward, each fiber solved
       completely, so the witness is the one with the smallest (y, x3);
     * above it: y = isqrt(core // 5) downward, a fiber counting only when
-      _binary_part certifies it (squares, primes == 1, 3 mod 8, twice or 4**j
-      times those).  The j-th fiber from the top has m about
-      2*j*sqrt(5*core), half the bits of q, so each primality test is several
-      times cheaper and twice as likely to succeed as near y = 0.
+      _binary_part finds its pair (squares, and t == 1, 3 mod 8, twice or
+      4**j times such a t, solved by Cornacchia).  The exact identity
+      certifies the witness; no primality test runs and no prime is proven.
+      The j-th fiber from the top has m about 2*j*sqrt(5*core), half the
+      bits of q, so each modular exponentiation is several times cheaper
+      and a pair twice as likely as near y = 0.
 
     Raises OutOfScopeError when FIBER_BUDGET fibers, or all of them, yield no
     witness; decompose then tries its next modulus.

@@ -16,9 +16,11 @@ from sevencubes.arith import (
     crt,
     cube_root_mod_6n,
     factorize,
+    has_small_factor,
     integer_cbrt,
     is_perfect_square,
     is_prime,
+    jacobi,
     primes_upto,
 )
 
@@ -105,8 +107,8 @@ def _next_prime(n: int) -> int:
 
 
 def test_is_prime_gcd_prefilter_edges():
-    # past the small-prime loop, one gcd with the product of the primes in
-    # (47, _GCD_SIEVE_BOUND] rejects n; at or below the bound n may be one of
+    # past the small-prime loop, one gcd with the product of the primes up to
+    # _GCD_SIEVE_BOUND rejects n; at or below the bound n may be one of
     # those primes, which must still be reported prime
     bound = _GCD_SIEVE_BOUND
     factors = [p for p in primes_upto(bound) if p > 47]
@@ -122,6 +124,28 @@ def test_is_prime_gcd_prefilter_edges():
         for q in (below, at, above) + large:
             assert not is_prime(p * q), (p, q)
     assert all(is_prime(q) for q in large)
+
+
+def test_has_small_factor_edges():
+    bound = _GCD_SIEVE_BOUND
+    small_primes = primes_upto(bound)
+    for n in range(bound + 1):
+        assert not has_small_factor(n), n  # nothing at or below the bound
+    for n in range(bound + 1, bound + 3000):
+        small = any(n % p == 0 for p in small_primes)
+        assert has_small_factor(n) == small, n
+    big = 2**89 - 1  # prime
+    assert not has_small_factor(big)
+    assert all(has_small_factor(p * big) for p in (2, 47, 53, _prev_prime(bound)))
+    assert not has_small_factor(_next_prime(bound + 1) * big)
+
+
+def test_jacobi_matches_euler_criterion():
+    for p in primes_upto(400)[1:]:
+        for a in range(2 * p):
+            euler = pow(a, (p - 1) // 2, p)
+            assert jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)
+    assert jacobi(2, 15) == 1 and jacobi(7, 15) == -1 and jacobi(5, 15) == 0
 
 
 # -- factorization ------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevencubes import construct
+from sevencubes import arith, construct
 from sevencubes.construct import (
     IDENTITY_CONSTANT,
     ConstructionError,
@@ -23,7 +23,9 @@ from sevencubes.construct import (
     OutOfScopeError,
     TernaryRep,
     Trace,
+    _binary_part,
     _cornacchia_two,
+    _sqrt_minus_two,
     anchor_root,
     assemble_cubes,
     decompose,
@@ -262,6 +264,18 @@ def test_represent_ternary_certified_witnesses_pinned():
         assert rep.q() == q
 
 
+def test_represent_ternary_spends_no_primality_test(monkeypatch):
+    # the certified fibers are decided by the exact identity alone
+    def forbidden(n):
+        raise AssertionError(f"is_prime({n}) called in the ternary step")
+
+    monkeypatch.setattr(construct, "is_prime", forbidden)
+    monkeypatch.setattr(arith, "is_prime", forbidden)
+    for q, (x1, x3) in CERTIFIED_WITNESSES.items():
+        rep = represent_ternary(q)
+        assert (rep.x1, rep.x3) == (x1, x3), q
+
+
 def test_decompose_300_digit_record_pinned():
     tr = decompose(10**299 + 6)
     record = tr.to_record()
@@ -272,8 +286,6 @@ def test_decompose_300_digit_record_pinned():
 
 
 def test_binary_part_shapes():
-    from sevencubes.construct import _binary_part
-
     assert _binary_part(0) == (0, 0)
     assert _binary_part(49) == (7, 0)
     assert _binary_part(2) == (0, 1)
@@ -294,6 +306,48 @@ def test_cornacchia_two_exhaustive():
             continue
         a, b = _cornacchia_two(p)
         assert a * a + 2 * b * b == p, p
+
+
+def test_sqrt_minus_two_every_prime():
+    for p in primes_upto(20_000):
+        if p % 8 in (1, 3):
+            r = _sqrt_minus_two(p)
+            assert r is not None and (r * r + 2) % p == 0, p
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 6601)
+
+
+def test_composite_remainders_give_exact_pairs_or_none():
+    # no primality proof guards Cornacchia: every composite t == 1, 3 (mod 8)
+    # must end with None or a pair that satisfies the identity exactly
+    primes = set(primes_upto(300_000))
+    composites = [t for t in range(9, 300_000, 2) if t % 8 in (1, 3) and t not in primes]
+    for t in composites + list(CARMICHAEL):
+        r = _sqrt_minus_two(t)
+        assert r is None or (r * r + 2) % t == 0, t
+        for m, got in ((t, _cornacchia_two(t)), (t, _binary_part(t)), (2 * t, _binary_part(2 * t))):
+            assert got is None or got[0] ** 2 + 2 * got[1] ** 2 == m, m
+    # odd squares that pass Euler's criterion for -2 (1093 and 3511 are the
+    # base-2 Wieferich primes): no z has Jacobi symbol -1, and only the cap
+    # on the non-residue search ends the call
+    for t in (1093**2, 3511**2):
+        assert pow(t - 2, (t - 1) // 2, t) == 1
+        assert _sqrt_minus_two(t) is None
+
+
+def test_strong_pseudoprime_remainder_certified_by_identity():
+    # strong probable prime to bases 2..23, yet composite: the pair found is
+    # certified by the identity, not by any claim that t is prime
+    t = 3825123056546413051
+    assert t == 149491 * 747451 * 34233211
+    d, s = (t - 1) >> 1, 1
+    while d % 2 == 0:
+        d, s = d >> 1, s + 1
+    assert not any(arith._mr_witness(t, a, d, s) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+    assert _cornacchia_two(t) == (948921301, 1209270735)
+    assert _binary_part(t) == (948921301, 1209270735)
+    assert 948921301**2 + 2 * 1209270735**2 == t
 
 
 # -- assembly -----------------------------------------------------------------
