@@ -1,6 +1,7 @@
-"""Exact integer arithmetic: primality, factorization, integer roots,
-Chinese remaindering, and cube roots to moduli of the form 6n with n a
-squarefree product of primes congruent to 5 mod 6.
+"""Exact integer arithmetic: prime sieving, primality, factorization,
+integer roots, integer bitsets, Chinese remaindering, and cube roots to
+moduli of the form 6n with n a squarefree product of primes congruent to
+5 mod 6.
 
 Everything operates on plain Python ints (arbitrary precision).  Integers
 serialize as decimal strings with no separators.
@@ -10,13 +11,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 __all__ = [
     "FactorBudgetError",
     "PROBABLE_PRIME_THRESHOLD",
     "TRIAL_DIVISION_BOUND",
+    "clear_bits",
     "crt",
     "cube_root_mod_6n",
     "factorize",
@@ -25,6 +27,7 @@ __all__ = [
     "is_perfect_square",
     "is_prime",
     "jacobi",
+    "prime_sieve",
     "primes_upto",
 ]
 
@@ -49,17 +52,33 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SQ256 = bytes(1 if i in {(j * j) & 255 for j in range(256)} else 0 for i in range(256))
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, by a byte sieve."""
-    if n < 2:
-        return []
+@lru_cache(maxsize=2)
+def prime_sieve(n: int) -> bytes:
+    """Byte sieve of Eratosthenes for n >= 1: sieve[i] == 1 exactly when
+    i <= n is prime.  Cached, so certify reads every residue class of one
+    bound out of a single sieve."""
     sieve = bytearray(b"\x01") * (n + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             start = p * p
-            sieve[start::p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+            sieve[start::p] = bytes((n - start) // p + 1)
+    return bytes(sieve)
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, read out of prime_sieve(n)."""
+    if n < 2:
+        return []
+    return list(compress(range(n + 1), prime_sieve(n)))
+
+
+def clear_bits(bits: int, n: int) -> list[int]:
+    """The i <= n whose bit is clear in the integer bitset `bits`."""
+    # bin() gives the bits highest first; the set bit n + 1 pads it to n + 2
+    # digits, and [:2:-1] reverses them without "0b" and that bit
+    digits = bin(bits & ((1 << (n + 1)) - 1) | 1 << (n + 1))[:2:-1]
+    return [i for i, bit in enumerate(digits) if bit == "0"]
 
 
 @lru_cache(maxsize=None)

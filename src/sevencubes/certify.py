@@ -14,7 +14,7 @@ this module exists so the numerical backbone can be re-audited at will:
 * prime_gap_certificate / admissible_gap_certificate - maximal consecutive
   ratios in arithmetic-progression prime lists and admissible-value lists;
 * dickson_report - the excluded set of x**2 + 2*z**2 + 5*y**2 versus a
-  vectorised reachability computation;
+  bitset sumset of the form's values;
 * identity_report - randomised exact checks of the six-cube identity.
 """
 
@@ -24,8 +24,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
+from .arith import clear_bits, prime_sieve, primes_upto
 from .construct import IDENTITY_CONSTANT, dickson_excluded
 from .modulus import (
     VALID_HI,
@@ -267,48 +269,15 @@ class GapCertificate:
         }
 
 
-def _max_consecutive_ratio(elements) -> tuple[int, int]:
+def _max_consecutive_ratio(elements: list[int]) -> tuple[int, int]:
     """First consecutive pair (a, b) maximising b/a; exact arithmetic."""
     if len(elements) < 2:
         raise ValueError("need at least two elements to measure a gap")
-    if int(max(elements)) ** 2 < 2**63:
-        import numpy as np
-
-        # vectorised prefilter; int64 cross products cannot overflow here
-        el = np.asarray(elements, dtype=np.int64)
-        cur, nxt = el[:-1], el[1:]
-        approx = nxt.astype(np.float64) / cur.astype(np.float64)
-        candidates = np.nonzero(approx >= approx.max() - 1e-9)[0]
-        best_i = None
-        best = None
-        for j in sorted(int(c) for c in candidates):
-            ratio = Fraction(int(nxt[j]), int(cur[j]))
-            if best is None or ratio > best:
-                best, best_i = ratio, j
-        # exact global confirmation: no pair beats the winner
-        assert not bool(
-            (nxt * int(cur[best_i]) > int(nxt[best_i]) * cur).any()
-        ), "float prefilter missed the true maximum"
-        return int(cur[best_i]), int(nxt[best_i])
-    # arbitrary-precision fallback for elements too large for int64 products
     best_a, best_b = elements[0], elements[1]
     for a, b in zip(elements, elements[1:]):
         if b * best_a > best_b * a:
             best_a, best_b = a, b
-    return int(best_a), int(best_b)
-
-
-@lru_cache(maxsize=4)
-def _prime_mask(limit: int):
-    """Boolean numpy array, True exactly at the primes up to limit."""
-    import numpy as np
-
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return sieve
+    return best_a, best_b
 
 
 def prime_gap_certificate(
@@ -321,15 +290,14 @@ def prime_gap_certificate(
 ) -> GapCertificate:
     """Certificate for primes == residue (mod modulus) in [lo, hi].
 
-    The sieve and the ratio scan are exact.
+    The class is read straight out of the byte sieve; the ratio scan is exact.
     """
-    import numpy as np
-
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    mask = _prime_mask(hi)
-    primes = np.nonzero(mask)[0]
-    el = primes[(primes >= lo) & (primes % modulus == residue)]
+    if not (0 <= residue < modulus):
+        raise ValueError("need 0 <= residue < modulus")
+    first = lo + (residue - lo) % modulus
+    el = list(compress(range(first, hi + 1, modulus), prime_sieve(hi)[first::modulus]))
     a, b = _max_consecutive_ratio(el)
     satisfied = None if bound is None else Fraction(b, a) < bound
     return GapCertificate(
@@ -338,7 +306,7 @@ def prime_gap_certificate(
         residue=residue,
         lo=lo,
         hi=hi,
-        count=int(el.size),
+        count=len(el),
         witness=(a, b),
         bound=None if bound is None else (bound.numerator, bound.denominator),
         satisfied=satisfied,
@@ -347,35 +315,18 @@ def prime_gap_certificate(
 
 @lru_cache(maxsize=4)
 def _admissible_elements(lo: int, hi: int) -> tuple[int, ...]:
-    """All admissible values (squarefree, prime factors == 5 mod 6) in [lo, hi]."""
-    import numpy as np
+    """All admissible values (squarefree, prime factors == 5 mod 6) in [lo, hi].
 
-    spf = np.arange(hi + 1, dtype=np.int64)
-    for p in range(2, isqrt(hi) + 1):
-        if spf[p] == p:
-            seg = spf[p * p :: p]
-            np.minimum(seg, p, out=seg)
-    out = []
-    for m in range(max(lo, 1), hi + 1):
-        if m == 1:
-            out.append(m)
-            continue
-        if m % 2 == 0 or m % 3 == 0:
-            continue
-        v = m
-        admissible = True
-        while v > 1:
-            p = int(spf[v])
-            if p % 6 != 5:
-                admissible = False
-                break
-            v //= p
-            if v % p == 0:
-                admissible = False
-                break
-        if admissible:
-            out.append(m)
-    return tuple(out)
+    Sieved: a multiple of 2, 3 or a prime == 1 (mod 6) is not admissible,
+    and neither is a multiple of p**2 for a prime p == 5 (mod 6).
+    """
+    admissible = bytearray(b"\x01") * (hi + 1)
+    for p in primes_upto(hi):
+        step = p * p if p % 6 == 5 else p
+        if step <= hi:
+            admissible[step::step] = bytes(hi // step)
+    lo = max(lo, 1)
+    return tuple(compress(range(lo, hi + 1), admissible[lo:]))
 
 
 def admissible_gap_certificate(
@@ -407,42 +358,37 @@ def admissible_gap_certificate(
 def dickson_report(limit: int) -> dict:
     """Audit of the excluded set of x**2 + 2*z**2 + 5*y**2 up to `limit`.
 
-    Recomputes the representable set by vectorised enumeration, derives
-    the missing values, and checks they are exactly the direct enumeration
-    25**k * (25*m + 10 or 15) as well as exactly where dickson_excluded()
-    says True.
+    Recomputes the representable set as a sumset on an integer bitset,
+    derives the missing values, and checks they are exactly the direct
+    enumeration 25**k * (25*m + 10 or 15) as well as exactly where
+    dickson_excluded() says True.
     """
-    import numpy as np
-
     if limit < 25:
         raise ValueError("limit too small to say anything")
-    reachable = np.zeros(limit + 1, dtype=bool)
-    x1 = 0
-    while x1 * x1 <= limit:
-        base1 = x1 * x1
-        x3 = 0
-        while base1 + 2 * x3 * x3 <= limit:
-            base2 = base1 + 2 * x3 * x3
-            ys = np.arange(isqrt((limit - base2) // 5) + 1, dtype=np.int64)
-            reachable[base2 + 5 * ys * ys] = True
-            x3 += 1
-        x1 += 1
-    direct = np.zeros(limit + 1, dtype=bool)
+    squares = sum(1 << (x * x) for x in range(isqrt(limit) + 1))
+    binary = 0  # the values x**2 + 2*z**2
+    for z in range(isqrt(limit // 2) + 1):
+        binary |= squares << (2 * z * z)
+    reach = 0
+    for y in range(isqrt(limit // 5) + 1):
+        reach |= binary << (5 * y * y)
+    missing = clear_bits(reach, limit)
+    direct = bytearray(limit + 1)
     scale = 1
     while scale * 10 <= limit:
         for r in (10, 15):
-            direct[np.arange(scale * r, limit + 1, scale * 25, dtype=np.int64)] = True
+            start, step = scale * r, scale * 25
+            direct[start::step] = b"\x01" * len(range(start, limit + 1, step))
         scale *= 25
-    missing = ~reachable
-    complement_ok = bool(np.array_equal(missing, direct))
+    excluded = list(compress(range(limit + 1), direct))
+    complement_ok = missing == excluded
     scalar_ok = all(
         dickson_excluded(i) == bool(direct[i]) for i in range(limit + 1)
     )
-    excluded = np.nonzero(direct)[0]
     return {
         "limit": limit,
-        "excluded_count": int(excluded.size),
-        "first_excluded": [int(v) for v in excluded[:12]],
+        "excluded_count": len(excluded),
+        "first_excluded": excluded[:12],
         "complement_ok": complement_ok,
         "scalar_ok": scalar_ok,
         "ok": complement_ok and scalar_ok,

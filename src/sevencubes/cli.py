@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .arith import FactorBudgetError
 from .certify import (
     admissible_gap_certificate,
     constants_report,
@@ -81,7 +80,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     except NotRepresentableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OutOfScopeError, SearchLimitError, FactorBudgetError) as exc:
+    except OutOfScopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     record = trace.to_record()

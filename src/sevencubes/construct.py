@@ -30,8 +30,8 @@ exceptions are routed to the exhaustive search / stored tables instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import isqrt, prod
+from dataclasses import dataclass, field, replace
+from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .arith import (
@@ -450,22 +450,23 @@ class Trace:
 
     def _route_holds(self) -> bool:
         """The identity route, checked exactly without any primality test:
-        p in its window for n0; its factors distinct, == 5 (mod 6) and with
-        product p; the anchor x0 positive and even; the residual
-        24*p*q == n0 - x0**3 - 1402*p**3, which also gives the anchor
-        congruence x0**3 == n0 - 1402*p**3 (mod 6p); the witness
-        q == x1**2 + 2*x3**2 + 5*(x2/2)**2; and the cubes equal to
-        5**e * (x0, 4p +- x1, 5p +- x2, 8p +- x3)."""
+        p in its window for n0; its factors an AuxModulus certificate
+        (strictly increasing, each == 5 (mod 6), product p); the anchor x0
+        positive and even; the residual 24*p*q == n0 - x0**3 - 1402*p**3,
+        which also gives the anchor congruence x0**3 == n0 - 1402*p**3
+        (mod 6p); the witness q == x1**2 + 2*x3**2 + 5*(x2/2)**2; and the
+        cubes equal to 5**e * (x0, 4p +- x1, 5p +- x2, 8p +- x3)."""
         p, n0, x0, q = self.p_value, self.n0, self.x0, self.q
         x1, x2, x3, factors = self.x1, self.x2, self.x3, self.p_factors
         if None in (factors, x0, q, x1, x2, x3):
             return False
+        try:
+            AuxModulus(p, factors)
+        except ValueError:
+            return False
         bases = (x0, 4 * p + x1, 4 * p - x1, 5 * p + x2, 5 * p - x2, 8 * p + x3, 8 * p - x3)
         return (
             modulus_valid(n0, p)
-            and len(set(factors)) == len(factors)
-            and all(f % 6 == 5 for f in factors)
-            and prod(factors) == p
             and x0 > 0
             and x0 % 2 == 0
             and n0 - x0**3 - IDENTITY_CONSTANT * p**3 == 24 * p * q
@@ -595,21 +596,13 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
     if n0 % 4 == 2:
         inner = _construct(n0, cfg)
         if inner is not None:
-            trace = Trace(
+            trace = replace(
+                inner,
                 n=n,
                 n0=n0,
                 e=e,
                 branch="scaled" if e else "construction",
                 cubes=tuple(c * scale for c in inner.cubes),
-                p_value=inner.p_value,
-                p_factors=inner.p_factors,
-                b=inner.b,
-                x0=inner.x0,
-                q=inner.q,
-                x1=inner.x1,
-                x2=inner.x2,
-                x3=inner.x3,
-                probable_primes=inner.probable_primes,
             )
             trace.recheck()
             return trace

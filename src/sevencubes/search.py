@@ -2,10 +2,11 @@
 plus the frozen exception set for seven cubes and its stored decompositions.
 
 Two independent code paths answer "which n have no seven-cube sum":
-`exception_scan` layers a vectorized reachability sieve, while `search_seven`
-runs a complete backtracking descent pruned by pure-Python bitsets of sums of
-at most 1, 2, 3 cubes.  A None from `search_seven` is a proof of
-non-representability within the budget, not a timeout.
+`exception_scan` builds the sums of seven cubes as a sumset on one integer
+bitset, while `search_seven` runs a complete backtracking descent pruned by
+pure-Python bitsets of sums of at most 1, 2, 3 cubes.  A None from
+`search_seven` is a proof of non-representability within the budget, not a
+timeout.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import integer_cbrt
+from .arith import clear_bits, integer_cbrt
 
 __all__ = [
     "EXCEPTIONS",
@@ -148,23 +149,21 @@ def search_seven(n: int, budget: SearchBudget | None = None) -> tuple[int, ...] 
 def exception_scan(limit: int, budget: SearchBudget | None = None) -> list[int]:
     """All n <= limit with no representation as seven nonnegative cubes.
 
-    Uses a layered reachability sieve (seven rounds of 'add one cube'),
+    Uses a layered reachability bitset (seven rounds of 'add one cube'),
     independent of the backtracking path in search_seven.
     """
-    import numpy as np
-
     bud = budget or SearchBudget()
     if limit > bud.max_n:
         raise SearchLimitError(f"{limit} exceeds the search budget {bud.max_n}")
-    reach = np.zeros(limit + 1, dtype=bool)
-    reach[0] = True
+    mask = (1 << (limit + 1)) - 1
     cubes = [x**3 for x in range(1, integer_cbrt(limit) + 1)]
+    reach = 1  # after round r, bit i: i is a sum of at most r positive cubes
     for _ in range(7):
-        nxt = reach.copy()
+        nxt = reach
         for c in cubes:
-            nxt[c:] |= reach[: limit + 1 - c]
-        reach = nxt
-    return [int(i) for i in np.nonzero(~reach)[0]]
+            nxt |= reach << c
+        reach = nxt & mask
+    return clear_bits(reach, limit)
 
 
 @lru_cache(maxsize=1)

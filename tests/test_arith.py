@@ -13,6 +13,7 @@ from sevencubes.arith import (
     _GCD_SIEVE_BOUND,
     PROBABLE_PRIME_THRESHOLD,
     FactorBudgetError,
+    clear_bits,
     crt,
     cube_root_mod_6n,
     factorize,
@@ -21,6 +22,7 @@ from sevencubes.arith import (
     is_perfect_square,
     is_prime,
     jacobi,
+    prime_sieve,
     primes_upto,
 )
 
@@ -45,6 +47,17 @@ def test_primes_upto_known_counts():
     assert ps[0] == 2 and ps[-1] == 9973
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]
+    sieve = prime_sieve(10**4)
+    assert len(sieve) == 10**4 + 1
+    assert [i for i, flag in enumerate(sieve) if flag] == ps
+    assert prime_sieve(1) == b"\x00\x00"
+
+
+def test_clear_bits():
+    assert clear_bits(0b1011, 5) == [2, 4, 5]
+    assert clear_bits(0b110000, 3) == [0, 1, 2, 3]  # bits above n are ignored
+    assert clear_bits((1 << 64) - 1, 63) == []
+    assert clear_bits(0, 0) == [0]
 
 
 def test_is_prime_exhaustive_small():

@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+from sevencubes.arith import primes_upto
 from sevencubes.certify import (
     GapCertificate,
+    _admissible_elements,
     _max_consecutive_ratio,
     admissible_gap_certificate,
     constants_report,
@@ -141,6 +143,20 @@ def test_prime_gap_certificate_frozen_witnesses():
     assert cert11.max_ratio == Fraction(45491, 45263)
 
 
+def test_prime_gap_certificate_matches_filtered_primes():
+    # the class read out of the sieve from its first element >= lo
+    primes = primes_upto(5000)
+    cases = ((12, 5, 26), (12, 11, 29), (4, 3, 3), (30, 7, 8), (100, 37, 1000))
+    for modulus, residue, lo in cases:
+        el = [p for p in primes if p >= lo and p % modulus == residue]
+        cert = prime_gap_certificate(residue, modulus, lo, 5000)
+        assert cert.count == len(el)
+        assert cert.witness == max(zip(el, el[1:]), key=lambda ab: Fraction(ab[1], ab[0]))
+    for residue in (-1, 12, 17):  # no residue class mod 12
+        with pytest.raises(ValueError):
+            prime_gap_certificate(residue, 12, 26, 5000)
+
+
 def test_prime_gap_certificate_bounds():
     passing = prime_gap_certificate(5, 12, 26669, 10**5, bound=Fraction(1006, 1000))
     assert passing.satisfied is True
@@ -173,6 +189,13 @@ def test_admissible_gap_certificate_demo():
     assert between == []
 
 
+def test_admissible_elements_match_admissible_factors():
+    # the sieve against trial division, from the empty product 1 up
+    assert _admissible_elements(1, 30000) == tuple(
+        m for m in range(1, 30001) if admissible_factors(m) is not None
+    )
+
+
 def test_admissible_gap_certificate_bound_direction():
     # the demo class exceeds the tight bound but stays under a loose one
     tight = admissible_gap_certificate(37, 90000, 100000, bound=Fraction(10389, 10000))
@@ -189,7 +212,7 @@ def test_max_consecutive_ratio_exact_tie_break():
     assert _max_consecutive_ratio(els) == (100, 103)
     # strictly larger gap at the end wins
     assert _max_consecutive_ratio(els[:-1] + [207]) == (200, 207)
-    # same answers on the arbitrary-precision path (ratios are scale-invariant)
+    # products beyond 64 bits, same answers (ratios are scale-invariant)
     scaled = [e * 10**15 for e in els]
     assert _max_consecutive_ratio(scaled) == (100 * 10**15, 103 * 10**15)
 

@@ -226,24 +226,48 @@ def test_selftest_deterministic(capsys):
 SELFTEST_SHA256 = "826fbbd2958f6f686f7bc176c7463366c9bae765b91aebcef173f79d2df1b4e1"
 
 
+# sha256 of `sevencubes certify all --set both`: every certificate at its
+# default size (primes to 10**7, the 48 admissible classes mod 100)
+CERTIFY_ALL_SHA256 = "5b4f9a46b0ec8a4645dea4215910f6d59f08ce9464e11d581292c53462692f93"
+
+
 def _python(*args: str) -> bytes:
-    """stdout of a fresh interpreter that imports this checkout's package."""
+    """stdout of a fresh interpreter that imports this checkout's package;
+    fails with the interpreter's stderr unless it exits 0."""
     src = str(Path(sevencubes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, check=True, timeout=120,
-    ).stdout
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def _sevencubes_without_numpy(*args: str) -> bytes:
+    """stdout of `python -m sevencubes ARGS` where `import numpy` raises
+    ImportError: the package has no third-party runtime dependency."""
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "runpy.run_module('sevencubes', run_name='__main__', alter_sys=True)\n"
+    )
+    return _python("-c", code, *args)
 
 
 def test_selftest_output_pinned():
-    out = _python("-m", "sevencubes", "selftest")
+    out = _sevencubes_without_numpy("selftest")
     assert hashlib.sha256(out).hexdigest() == SELFTEST_SHA256
 
 
+def test_certify_all_output_pinned_without_numpy():
+    out = _sevencubes_without_numpy("certify", "all", "--set", "both")
+    assert hashlib.sha256(out).hexdigest() == CERTIFY_ALL_SHA256
+
+
 def test_decompose_command_never_imports_numpy():
-    # only the certify reports and the exception sieve need numpy; the
-    # decompose command should not pay for importing it
+    # the package needs no numpy; this also keeps any other module that
+    # might bring it in out of the decompose command's cold start
     code = (
         "import sys\n"
         "from sevencubes.cli import main\n"

@@ -533,6 +533,7 @@ def test_trace_recheck_detects_tampering():
         "repeated factor": _identity_trace(25, (5, 5), 152, 0, 0, 0),
         "factor 1 (mod 6)": _identity_trace(7, (7,), 44, 0, 0, 0),
         "factors multiply to 55": replace(real, p_factors=(5, 11)),
+        "factors out of order": replace(real, p_factors=(11, 5, 1499)),
         "odd anchor": _identity_trace(5, (5,), 3, 15, 0, 0),
         "zero anchor": _identity_trace(5, (5,), 0, 15, 0, 1),
         "missing anchor": replace(real, x0=None),
