@@ -15,7 +15,6 @@ from itertools import compress, count
 from typing import Iterable, Sequence
 
 __all__ = [
-    "FactorBudgetError",
     "PROBABLE_PRIME_THRESHOLD",
     "TRIAL_DIVISION_BOUND",
     "clear_bits",
@@ -32,10 +31,6 @@ __all__ = [
 ]
 
 
-class FactorBudgetError(Exception):
-    """A factorization candidate exceeds the configured size budget."""
-
-
 # The first 13 prime bases decide primality for everything below this bound
 # (the smallest composite passing all of them is the bound itself).  Above it
 # a "prime" verdict is a strong probable-prime result, not a deterministic
@@ -43,7 +38,8 @@ class FactorBudgetError(Exception):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PROBABLE_PRIME_THRESHOLD = 3_317_044_064_679_887_385_961_981
 
-# factorize trial-divides by the primes up to this bound before Pollard rho
+# modulus.admissible_factors trial-divides by the primes up to this bound;
+# factorize takes only the cofactors that have none of them
 TRIAL_DIVISION_BOUND = 10_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -81,11 +77,6 @@ def clear_bits(bits: int, n: int) -> list[int]:
     return [i for i, bit in enumerate(digits) if bit == "0"]
 
 
-@lru_cache(maxsize=None)
-def _trial_primes(bound: int) -> tuple[int, ...]:
-    return tuple(primes_upto(bound))
-
-
 # One gcd with the product of the primes up to _GCD_SIEVE_BOUND rejects a
 # composite with such a factor before any modular exponentiation; about half
 # of the composites that pass is_prime's small-prime loop have one.  The gcd
@@ -93,7 +84,7 @@ def _trial_primes(bound: int) -> tuple[int, ...]:
 # is_prime, 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower,
 # and came within 7% of 10**4 on ~700-bit values.
 _GCD_SIEVE_BOUND = 3000
-_GCD_SIEVE_PRODUCT = math.prod(_trial_primes(_GCD_SIEVE_BOUND))
+_GCD_SIEVE_PRODUCT = math.prod(primes_upto(_GCD_SIEVE_BOUND))
 
 
 def has_small_factor(n: int) -> bool:
@@ -239,41 +230,32 @@ def _pollard_brent(n: int) -> int:
     raise AssertionError("unreachable")
 
 
-def factorize(
-    n: int, *, bit_budget: int = 96, trial_bound: int = TRIAL_DIVISION_BOUND
-) -> list[tuple[int, int]]:
+# one gcd with this product checks factorize's precondition
+_TRIAL_PRODUCT = math.prod(primes_upto(TRIAL_DIVISION_BOUND))
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
     """Full factorization of n as a sorted list of (prime, exponent).
 
-    Trial division up to `trial_bound` (none when it is below 2), then
-    Pollard rho on what remains.
-    Raises FactorBudgetError when n has more than `bit_budget` bits; callers
-    treat that as "reject this candidate" rather than waiting on a hard
-    factorization.
+    Precondition: n >= 1 has no prime factor up to TRIAL_DIVISION_BOUND, as
+    the cofactor modulus.admissible_factors leaves after its trial division.
+    Pollard rho splits n until every part passes is_prime.  Raises
+    ValueError on an input that breaks the precondition.
     """
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    if n.bit_length() > bit_budget:
-        raise FactorBudgetError(
-            f"{n.bit_length()}-bit value exceeds the {bit_budget}-bit factorization budget"
+    if n < 1 or math.gcd(n, _TRIAL_PRODUCT) != 1:
+        raise ValueError(
+            f"factorize requires n >= 1 with no prime factor up to {TRIAL_DIVISION_BOUND}"
         )
     counts: dict[int, int] = {}
-    m = n
-    for p in _trial_primes(trial_bound):
-        if p * p > m:
-            break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-    if m > 1:
-        stack = [m]
-        while stack:
-            v = stack.pop()
-            if is_prime(v):
-                counts[v] = counts.get(v, 0) + 1
-                continue
-            g = _pollard_brent(v)
-            stack.append(g)
-            stack.append(v // g)
+    stack = [n] if n > 1 else []
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            counts[v] = counts.get(v, 0) + 1
+            continue
+        g = _pollard_brent(v)
+        stack.append(g)
+        stack.append(v // g)
     factors = sorted(counts.items())
     check = 1
     for p, e in factors:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -58,6 +59,17 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _at_least(low: int):
+    """An argparse type: a decimal integer >= low."""
+
+    def parse(text: str) -> int:
+        if not re.fullmatch(r"-?[0-9]+", text) or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return int(text)
+
+    return parse
+
+
 def _ratio(text: str) -> Fraction:
     m = re.fullmatch(r"([0-9]+)/([0-9]+)", text)
     if not m or int(m.group(2)) == 0:
@@ -70,11 +82,7 @@ def _packaged_table(filename: str) -> str:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    config = DecomposeConfig(
-        scan_limit=args.budget_scan,
-        factor_bits=args.budget_factor_bits,
-        search_max_n=args.budget_search,
-    )
+    config = DecomposeConfig(search_max_n=args.budget_search)
     try:
         trace = decompose(args.n, config)
     except NotRepresentableError as exc:
@@ -134,13 +142,39 @@ def _cmd_exceptions(args: argparse.Namespace) -> int:
     return 0
 
 
+# default [lo, hi] of the prime and of the admissible gap certificates
+_GAP_RANGES = {"primes": (26669, 10**7), "admissible": (382670, 10**6)}
+
+
+def _gap_range(args: argparse.Namespace, which: str) -> tuple[int, int]:
+    lo, hi = _GAP_RANGES[which]
+    return (lo if args.lo is None else args.lo, hi if args.hi is None else args.hi)
+
+
+def _gap_usage_error(args: argparse.Namespace) -> str | None:
+    """Why the gap options describe no certificate, or None: an empty range,
+    or a class with at most one prime or with no admissible value."""
+    for which in ("primes", "admissible"):
+        if args.which_set in (which, "both"):
+            lo, hi = _gap_range(args, which)
+            if lo >= hi:
+                return f"the {which} range needs --lo < --hi, got [{lo}, {hi}]"
+    res, mod = args.res, args.mod or 12
+    if res is None:
+        return None
+    if args.which_set != "admissible" and not (0 <= res < mod and math.gcd(res, mod) == 1):
+        return f"--res {res} is not a unit modulo --mod {mod}"
+    if args.which_set != "primes" and not (0 <= res < 100 and res % 2 and res % 25):
+        return f"--res {res} is not an odd class mod 100 prime to 25"
+    return None
+
+
 def _gap_reports(args: argparse.Namespace) -> list[dict]:
     records = []
     which = args.which_set
     if which in ("primes", "both"):
         bound = args.max_ratio or Fraction(1006, 1000)
-        lo = args.lo if args.lo is not None else 26669
-        hi = args.hi if args.hi is not None else 10**7
+        lo, hi = _gap_range(args, "primes")
         modulus = args.mod if args.mod is not None else 12
         residues = [args.res] if args.res is not None else [5, 11]
         for residue in residues:
@@ -148,8 +182,7 @@ def _gap_reports(args: argparse.Namespace) -> list[dict]:
             records.append(cert.to_record())
     if which in ("admissible", "both"):
         bound = args.max_ratio or Fraction(26669, 26141)
-        lo = args.lo if args.lo is not None else 382670
-        hi = args.hi if args.hi is not None else 10**6
+        lo, hi = _gap_range(args, "admissible")
         classes = (
             [args.res]
             if args.res is not None
@@ -290,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--format", choices=("text", "structured"), default="text")
     d.add_argument("--budget-search", type=int, default=_DEFAULTS.search_max_n,
                    help="largest value the exhaustive search will accept")
-    d.add_argument("--budget-scan", type=int, default=_DEFAULTS.scan_limit,
-                   help="candidate values examined per modulus scan")
-    d.add_argument("--budget-factor-bits", type=int, default=_DEFAULTS.factor_bits,
-                   help="bit-size cap for exact candidate factorisation")
     d.set_defaults(func=_cmd_decompose)
 
     v = sub.add_parser("verify", help="check that seven cubes sum to N")
@@ -308,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_tables)
 
     e = sub.add_parser("exceptions", help="exhaustively list non-representable values")
-    e.add_argument("--limit", type=int, default=500)
+    e.add_argument("--limit", type=_decimal, default=500)
     e.set_defaults(func=_cmd_exceptions)
 
     c = sub.add_parser("certify", help="recompute a certificate and report ok/failed")
@@ -319,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--samples", type=int, default=100_000)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--limit", type=int, default=20_000)
+    c.add_argument("--limit", type=_at_least(25), default=20_000)
     c.add_argument("--set", dest="which_set", choices=("primes", "admissible", "both"),
                    default="primes", help="which gap certificates to compute")
-    c.add_argument("--mod", type=int, default=None)
+    c.add_argument("--mod", type=_at_least(1), default=None)
     c.add_argument("--res", type=int, default=None)
-    c.add_argument("--lo", type=int, default=None)
+    c.add_argument("--lo", type=_at_least(1), default=None)
     c.add_argument("--hi", type=int, default=None)
     c.add_argument("--max-ratio", type=_ratio, default=None,
                    help="bound as num/den, e.g. 1006/1000")
@@ -336,5 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "certify" and args.what in ("gaps", "all"):
+        problem = _gap_usage_error(args)
+        if problem:
+            parser.error(f"certify: {problem}")
     return args.func(args)

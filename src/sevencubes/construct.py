@@ -48,7 +48,6 @@ from .modulus import (
     composite_prime_bounds,
     iter_moduli_composite,
     iter_moduli_direct,
-    modulus_interval,
     modulus_valid,
     steering_residues,
 )
@@ -81,6 +80,8 @@ __all__ = [
 # 2 * (4**3 + 5**3 + 8**3): the cube-free part of the six-term identity.
 IDENTITY_CONSTANT = 1402
 
+# candidate values examined per direct modulus scan
+DIRECT_SCAN_LIMIT = 500_000
 # candidate primes examined per composite modulus scan
 PRIME_SCAN_LIMIT = 200_000
 
@@ -392,19 +393,16 @@ def verify(cubes, n: int) -> bool:
 
 @dataclass(frozen=True)
 class DecomposeConfig:
-    """Budgets for decompose().
+    """The budget of decompose(): `search_max_n`, the largest n0 the
+    exhaustive seven-cube search accepts.
 
-    scan_limit    candidate values examined per direct modulus scan;
-    factor_bits   size cap for exact factorisation of candidates;
-    search_max_n  largest n0 the exhaustive seven-cube search accepts.
-
-    The ternary step has a fixed budget of its own (FIBER_BUDGET fibers per
-    modulus); a modulus whose residual exhausts it is skipped like one whose
-    residual is excluded.
+    The identity route has fixed budgets instead: DIRECT_SCAN_LIMIT and
+    PRIME_SCAN_LIMIT candidates per modulus scan, moduli below
+    2**modulus.DIRECT_SCAN_BITS in the direct scan, and FIBER_BUDGET fibers
+    per modulus in the ternary step; a modulus whose residual exhausts the
+    fibers is skipped like one whose residual is excluded.
     """
 
-    scan_limit: int = 500_000
-    factor_bits: int = 96
     search_max_n: int = 10**8
 
 
@@ -495,31 +493,23 @@ class Trace:
         }
 
 
-def _candidate_moduli(
-    n: int, config: DecomposeConfig, prime_bounds: tuple[int, int]
-) -> Iterator[AuxModulus]:
+def _candidate_moduli(n: int) -> Iterator[AuxModulus]:
     """Moduli to try for n == 2 (mod 4): the direct window scan first
-    (smallest admissible value wins), then steered composites p0 * prime
-    when `prime_bounds` (from composite_prime_bounds(n)) is not empty."""
-    yield from iter_moduli_direct(
-        n, scan_limit=config.scan_limit, bit_budget=config.factor_bits
-    )
-    p_lo, p_hi = prime_bounds
+    (smallest admissible value wins), then, once it runs dry, steered
+    composites p0 * prime when composite_prime_bounds(n) is not empty."""
+    yield from iter_moduli_direct(n, scan_limit=DIRECT_SCAN_LIMIT)
+    p_lo, p_hi = composite_prime_bounds(n)
     if p_lo <= p_hi:
         for b in steering_residues(n).candidates:
             yield from iter_moduli_composite(n, b, scan_limit=PRIME_SCAN_LIMIT)
 
 
-def _construct(n: int, config: DecomposeConfig) -> Trace | None:
+def _construct(n: int) -> Trace | None:
     """Identity route for n == 2 (mod 4), 125 not dividing n; None if no
     admissible modulus in the window yields an admissible residual."""
     if n % 4 != 2:
         raise ValueError("the constructive route needs n == 2 (mod 4)")
-    lo, hi = modulus_interval(n)
-    p_lo, p_hi = composite_prime_bounds(n)
-    if lo > hi and p_lo > p_hi:
-        return None
-    for modulus in _candidate_moduli(n, config, (p_lo, p_hi)):
+    for modulus in _candidate_moduli(n):
         x0 = anchor_root(n, modulus)
         try:
             q = residual_quotient(n, modulus.value, x0)
@@ -594,7 +584,7 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
         return trace
 
     if n0 % 4 == 2:
-        inner = _construct(n0, cfg)
+        inner = _construct(n0)
         if inner is not None:
             trace = replace(
                 inner,

@@ -24,7 +24,6 @@ from functools import lru_cache
 
 from .arith import (
     TRIAL_DIVISION_BOUND,
-    FactorBudgetError,
     factorize,
     integer_cbrt,
     is_prime,
@@ -32,6 +31,7 @@ from .arith import (
 )
 
 __all__ = [
+    "DIRECT_SCAN_BITS",
     "VALID_LO",
     "VALID_HI",
     "AuxModulus",
@@ -58,6 +58,10 @@ _IDENTITY_CONSTANT = 1402  # = 2 * (4**3 + 5**3 + 8**3), see construct.py
 
 _TRIAL_PRIMES = tuple(primes_upto(TRIAL_DIVISION_BOUND))
 
+# The only size bound on factoring: admissible_factors refuses values of more
+# bits, and the direct scan stops below 2**DIRECT_SCAN_BITS.
+DIRECT_SCAN_BITS = 96
+
 
 class NoWindowError(Exception):
     """No covering window exists below the search ceiling."""
@@ -83,13 +87,6 @@ class AuxModulus:
         if prod != self.value:
             raise ValueError("value does not match its factorization")
 
-    @classmethod
-    def from_value(cls, value: int, *, bit_budget: int = 96) -> "AuxModulus":
-        fac = admissible_factors(value, bit_budget=bit_budget)
-        if fac is None:
-            raise ValueError(f"{value} is not an admissible modulus")
-        return cls(value, fac)
-
 
 @dataclass(frozen=True)
 class SteeringChoice:
@@ -100,12 +97,12 @@ class SteeringChoice:
 
 
 @lru_cache(maxsize=1 << 17)
-def admissible_factors(n: int, *, bit_budget: int = 96) -> tuple[int, ...] | None:
+def admissible_factors(n: int) -> tuple[int, ...] | None:
     """The prime factors of n if n is an admissible modulus, else None.
 
     Admissible: squarefree with every prime factor congruent to 5 mod 6.
-    The empty product n = 1 is admissible.  Raises FactorBudgetError for
-    values beyond the factorization budget.
+    The empty product n = 1 is admissible.  Raises ValueError for n < 1 and
+    for n of more than DIRECT_SCAN_BITS bits, which it never factors.
 
     Trial division rejects n at its first small factor that is 2, 3,
     1 (mod 6) or repeated; a cofactor left after it is decided by one
@@ -113,14 +110,14 @@ def admissible_factors(n: int, *, bit_budget: int = 96) -> tuple[int, ...] | Non
     """
     if n < 1:
         raise ValueError("modulus candidates must be positive")
+    if n.bit_length() > DIRECT_SCAN_BITS:
+        raise ValueError(
+            f"{n.bit_length()}-bit value exceeds the {DIRECT_SCAN_BITS}-bit factoring cap"
+        )
     if n == 1:
         return ()
     if n % 2 == 0 or n % 3 == 0:
         return None
-    if n.bit_length() > bit_budget:
-        raise FactorBudgetError(
-            f"{n.bit_length()}-bit value exceeds the {bit_budget}-bit factorization budget"
-        )
     primes: list[int] = []
     m = n
     for p in _TRIAL_PRIMES:
@@ -134,7 +131,7 @@ def admissible_factors(n: int, *, bit_budget: int = 96) -> tuple[int, ...] | Non
     else:
         # m has no prime factor up to the trial bound, so it may be composite
         if m > 1 and not is_prime(m):
-            fac = factorize(m, bit_budget=bit_budget, trial_bound=0)
+            fac = factorize(m)
             if all(e == 1 and p % 6 == 5 for p, e in fac):
                 return tuple(primes) + tuple(p for p, _ in fac)
             return None
@@ -193,33 +190,25 @@ def modulus_interval(n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def iter_moduli_direct(
-    n: int,
-    *,
-    scan_limit: int | None = None,
-    bit_budget: int = 96,
-):
+def iter_moduli_direct(n: int, *, scan_limit: int | None = None):
     """Admissible moduli for n in ascending order, scanned directly.
 
-    Candidates obey the size interval and m = n/2 (mod 4).  Candidates whose
-    factorization exceeds the bit budget are skipped; if even the smallest
-    candidate is over budget the scan yields nothing.
+    Candidates obey the size interval and m = n/2 (mod 4), and stay below
+    2**DIRECT_SCAN_BITS (96 bits): that cap is the only size bound on
+    factoring, and a target whose whole interval lies above it gets nothing
+    from this scan.  At most `scan_limit` candidates are examined.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")
     lo, hi = modulus_interval(n)
-    if lo > hi or lo.bit_length() > bit_budget:
-        return
+    hi = min(hi, (1 << DIRECT_SCAN_BITS) - 1)
     first = lo + ((n // 2) - lo) % 4
     examined = 0
     for cand in range(first, hi + 1, 4):
         if scan_limit is not None and examined >= scan_limit:
             return
         examined += 1
-        try:
-            fac = admissible_factors(cand, bit_budget=bit_budget)
-        except FactorBudgetError:
-            continue
+        fac = admissible_factors(cand)
         if fac is not None:
             yield AuxModulus(cand, fac)
 

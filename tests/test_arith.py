@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sevencubes.arith import (
     _GCD_SIEVE_BOUND,
     PROBABLE_PRIME_THRESHOLD,
-    FactorBudgetError,
+    TRIAL_DIVISION_BOUND,
     clear_bits,
     crt,
     cube_root_mod_6n,
@@ -164,18 +164,21 @@ def test_jacobi_matches_euler_criterion():
 # -- factorization ------------------------------------------------------------
 
 
+# factorize takes only values with no prime factor up to the trial bound;
+# 10007, 10009 and 10037 are the first primes past it
 def test_factorize_spot_values():
-    assert factorize(2) == [(2, 1)]
-    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert factorize(26477) == [(11, 1), (29, 1), (83, 1)]
-    assert factorize(2**10 * 3**5) == [(2, 10), (3, 5)]
+    assert factorize(1) == []
+    assert factorize(10007) == [(10007, 1)]
+    assert factorize(10007 * 10037) == [(10007, 1), (10037, 1)]
+    assert factorize(10007**2) == [(10007, 2)]
+    assert factorize(10009**3 * 10037) == [(10009, 3), (10037, 1)]
 
 
 def test_factorize_rejects_bad_input():
-    with pytest.raises(ValueError):
-        factorize(0)
-    with pytest.raises(ValueError):
-        factorize(-12)
+    # below 1, or with a prime factor up to the trial bound
+    for n in (0, -12, 2, 4, 360, 9973, 10007 * 9973, 2**100):
+        with pytest.raises(ValueError):
+            factorize(n)
 
 
 def _prev_prime(n: int) -> int:
@@ -184,31 +187,26 @@ def _prev_prime(n: int) -> int:
     return n
 
 
-def test_factorize_budget():
-    n = 999999999999999989 * (10**18 + 9)  # 120 bits
-    with pytest.raises(FactorBudgetError):
-        factorize(n)  # default budget is 96 bits
-    with pytest.raises(FactorBudgetError):
-        factorize(2**100)
-    assert factorize(2**100, bit_budget=128) == [(2, 100)]
-
-
 def test_factorize_semiprime_beyond_trial_division():
     p = _prev_prime(10**8)
     q = _prev_prime(p - 1)
     assert factorize(p * q) == [(q, 1), (p, 1)]
 
 
+_PRIMES_PAST_TRIAL_BOUND = [
+    p for p in primes_upto(2 * 10**5) if p > TRIAL_DIVISION_BOUND
+]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=2, max_value=10**12))
-def test_factorize_roundtrip(n):
+@given(st.lists(st.sampled_from(_PRIMES_PAST_TRIAL_BOUND), min_size=1, max_size=5))
+def test_factorize_roundtrip(primes):
+    n = 1
+    for p in primes:
+        n *= p
     fac = factorize(n)
-    prod = 1
-    for p, e in fac:
-        assert is_prime(p) and e >= 1
-        prod *= p**e
-    assert prod == n
-    assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+    assert fac == sorted({p: primes.count(p) for p in primes}.items())
+    assert all(is_prime(p) for p, _ in fac)
 
 
 # -- integer roots ------------------------------------------------------------

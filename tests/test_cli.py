@@ -231,15 +231,20 @@ SELFTEST_SHA256 = "826fbbd2958f6f686f7bc176c7463366c9bae765b91aebcef173f79d2df1b
 CERTIFY_ALL_SHA256 = "5b4f9a46b0ec8a4645dea4215910f6d59f08ce9464e11d581292c53462692f93"
 
 
-def _python(*args: str) -> bytes:
-    """stdout of a fresh interpreter that imports this checkout's package;
-    fails with the interpreter's stderr unless it exits 0."""
+def _interpreter(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run that imports this checkout's package."""
     src = str(Path(sevencubes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, timeout=120,
     )
+
+
+def _python(*args: str) -> bytes:
+    """stdout of a fresh interpreter that imports this checkout's package;
+    fails with the interpreter's stderr unless it exits 0."""
+    proc = _interpreter(*args)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -276,3 +281,18 @@ def test_decompose_command_never_imports_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert _python("-c", code).splitlines()[-1] == b"False"
+
+
+@pytest.mark.parametrize("argv", [
+    "exceptions --limit -5",
+    "certify gaps --hi 5",
+    "certify gaps --mod 0",
+    "certify dickson --limit 5",
+    "certify gaps --set admissible --res 50 --lo 382670 --hi 400000",
+    "certify gaps --res 3",
+])
+def test_out_of_range_arguments_are_usage_errors(argv):
+    proc = _interpreter("-m", "sevencubes", *argv.split())
+    assert proc.returncode == 2
+    assert b"usage:" in proc.stderr
+    assert b"Traceback" not in proc.stderr

@@ -38,8 +38,8 @@ from sevencubes.construct import (
 from sevencubes.modulus import AuxModulus, modulus_interval
 from sevencubes.arith import primes_upto
 
-P5 = AuxModulus.from_value(5)
-P1 = AuxModulus.from_value(1)
+P5 = AuxModulus(5, (5,))
+P1 = AuxModulus(1, ())
 
 
 # -- identity -----------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_anchor_root_worked_examples():
 @given(st.integers(min_value=0, max_value=10**12))
 def test_anchor_root_properties(k):
     n = 4 * k + 2
-    for modulus in (P1, P5, AuxModulus.from_value(55)):
+    for modulus in (P1, P5, AuxModulus(55, (5, 11))):
         p = modulus.value
         x0 = anchor_root(n, modulus)
         assert 0 < x0 <= 6 * p

@@ -125,9 +125,9 @@ def test_admissible_factors_each_exit_matches_naive(monkeypatch):
     }
     factorized = []
 
-    def counting_factorize(m, **kwargs):
+    def counting_factorize(m):
         factorized.append(m)
-        return factorize(m, **kwargs)
+        return factorize(m)
 
     monkeypatch.setattr(modulus, "factorize", counting_factorize)
     uncached = admissible_factors.__wrapped__
@@ -138,8 +138,7 @@ def test_admissible_factors_each_exit_matches_naive(monkeypatch):
 
 
 def test_aux_modulus_validation():
-    m = AuxModulus.from_value(55)
-    assert m.primes == (5, 11)
+    assert AuxModulus(55, (5, 11)).primes == (5, 11)
     with pytest.raises(ValueError):
         AuxModulus(35, (5, 7))
     with pytest.raises(ValueError):
@@ -245,6 +244,48 @@ def test_iter_moduli_direct_scan_limit():
     unlimited = [m.value for m in iter_moduli_direct(n)]
     assert [m.value for m in iter_moduli_direct(n, scan_limit=10**6)] == unlimited
     assert len([m for m in iter_moduli_direct(n, scan_limit=10)]) <= len(unlimited)
+
+
+def test_direct_scan_cap(monkeypatch):
+    # lower the cap to 20 bits and take n whose interval straddles 2**20
+    n = 1700 * 2**60 + 2
+    lo, hi = modulus_interval(n)
+    assert lo < 2**20 < hi
+    unclipped = [m.value for m in iter_moduli_direct(n)]
+    below = [v for v in unclipped if v < 2**20]
+    assert below and len(below) < len(unclipped)
+
+    seen_admissible, seen_factorize = [], []
+
+    def recording_admissible(m):
+        seen_admissible.append(m)
+        return admissible_factors.__wrapped__(m)
+
+    def recording_factorize(m):
+        seen_factorize.append(m)
+        return factorize(m)
+
+    monkeypatch.setattr(modulus, "DIRECT_SCAN_BITS", 20)
+    monkeypatch.setattr(modulus, "admissible_factors", recording_admissible)
+    monkeypatch.setattr(modulus, "factorize", recording_factorize)
+    assert [m.value for m in iter_moduli_direct(n)] == below
+    assert seen_admissible and max(seen_admissible) < 2**20
+    # below 2**20 no cofactor reaches factorize (10007**2 > 2**20); the check
+    # guards a lower trial bound or a higher test cap
+    assert all(m < 2**20 for m in seen_factorize)
+    # past the cap the scan yields nothing and examines nothing
+    seen_admissible.clear()
+    assert list(iter_moduli_direct(4 * 2**60 * 1786 + 2)) == []
+    assert seen_admissible == []
+
+
+def test_admissible_factors_refuses_values_over_the_cap():
+    n = 999999999999999989 * (10**18 + 9)  # 120 bits
+    with pytest.raises(ValueError):
+        admissible_factors(n)
+    with pytest.raises(ValueError):
+        admissible_factors(2**modulus.DIRECT_SCAN_BITS + 1)
+    assert admissible_factors(2**modulus.DIRECT_SCAN_BITS - 1) is None  # 3 | 4**48 - 1
 
 
 # -- covering window ----------------------------------------------------------
