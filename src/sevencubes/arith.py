@@ -45,7 +45,8 @@ TRIAL_DIVISION_BOUND = 10_000
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # squares mod 256, as a 0/1 table for a cheap pre-filter
-_SQ256 = bytes(1 if i in {(j * j) & 255 for j in range(256)} else 0 for i in range(256))
+_SQUARES_MOD_256 = frozenset(j * j & 255 for j in range(256))
+_SQ256 = bytes(i in _SQUARES_MOD_256 for i in range(256))
 
 
 @lru_cache(maxsize=2)
@@ -265,17 +266,24 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def integer_cbrt(n: int) -> int:
-    """floor(n ** (1/3)), exact for any nonnegative int."""
+    """floor(n ** (1/3)), exact for any nonnegative int.
+
+    Below 2**53, n converts to a float exactly, and the rounded float cube
+    root is within one of the answer; above, Newton's iteration from a power
+    of two above the root takes its place.  Either start is corrected by the
+    same exact integer steps.
+    """
     if n < 0:
         raise ValueError("integer_cbrt requires n >= 0")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3)  # x**3 >= n
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
+    if n < 1 << 53:
+        x = round(n ** (1 / 3))
+    else:
+        x = 1 << ((n.bit_length() + 2) // 3)  # x**3 >= n
+        while True:
+            y = (2 * x + n // (x * x)) // 3
+            if y >= x:
+                break
+            x = y
     while x * x * x > n:
         x -= 1
     while (x + 1) ** 3 <= n:

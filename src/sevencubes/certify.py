@@ -40,6 +40,7 @@ from .modulus import (
 
 __all__ = [
     "GapCertificate",
+    "SparseClassError",
     "admissible_gap_certificate",
     "constants_report",
     "dickson_report",
@@ -269,10 +270,16 @@ class GapCertificate:
         }
 
 
-def _max_consecutive_ratio(elements: list[int]) -> tuple[int, int]:
+class SparseClassError(ValueError):
+    """The class holds fewer than two elements in the range: no gap to measure."""
+
+
+def _max_consecutive_ratio(elements: list[int], what: str = "the class") -> tuple[int, int]:
     """First consecutive pair (a, b) maximising b/a; exact arithmetic."""
     if len(elements) < 2:
-        raise ValueError("need at least two elements to measure a gap")
+        raise SparseClassError(
+            f"{what} holds {len(elements)} element(s); a gap needs at least two"
+        )
     best_a, best_b = elements[0], elements[1]
     for a, b in zip(elements, elements[1:]):
         if b * best_a > best_b * a:
@@ -298,7 +305,7 @@ def prime_gap_certificate(
         raise ValueError("need 0 <= residue < modulus")
     first = lo + (residue - lo) % modulus
     el = list(compress(range(first, hi + 1, modulus), prime_sieve(hi)[first::modulus]))
-    a, b = _max_consecutive_ratio(el)
+    a, b = _max_consecutive_ratio(el, f"primes == {residue} (mod {modulus}) in [{lo}, {hi}]")
     satisfied = None if bound is None else Fraction(b, a) < bound
     return GapCertificate(
         kind="primes",
@@ -340,7 +347,9 @@ def admissible_gap_certificate(
     elements = [
         m for m in _admissible_elements(lo, hi) if m % 100 == class_mod_100
     ]
-    a, b = _max_consecutive_ratio(elements)
+    a, b = _max_consecutive_ratio(
+        elements, f"admissible values == {class_mod_100} (mod 100) in [{lo}, {hi}]"
+    )
     satisfied = None if bound is None else Fraction(b, a) < bound
     return GapCertificate(
         kind="admissible",

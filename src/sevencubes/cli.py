@@ -17,6 +17,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .certify import (
+    SparseClassError,
     admissible_gap_certificate,
     constants_report,
     dickson_report,
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("n", type=_decimal, metavar="N")
     d.add_argument("--trace", action="store_true", help="print the full audit record")
     d.add_argument("--format", choices=("text", "structured"), default="text")
-    d.add_argument("--budget-search", type=int, default=_DEFAULTS.search_max_n,
+    d.add_argument("--budget-search", type=_decimal, default=_DEFAULTS.search_max_n,
                    help="largest value the exhaustive search will accept")
     d.set_defaults(func=_cmd_decompose)
 
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("constants", "identity", "steering", "uniqueness", "windows",
                  "dickson", "gaps", "all"),
     )
-    c.add_argument("--samples", type=int, default=100_000)
+    c.add_argument("--samples", type=_at_least(1), default=100_000)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--limit", type=_at_least(25), default=20_000)
     c.add_argument("--set", dest="which_set", choices=("primes", "admissible", "both"),
@@ -371,4 +372,7 @@ def main(argv=None) -> int:
         problem = _gap_usage_error(args)
         if problem:
             parser.error(f"certify: {problem}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SparseClassError as exc:  # the options name a class too thin to certify
+        parser.error(f"certify: {exc}")

@@ -4,7 +4,7 @@ plus the frozen exception set for seven cubes and its stored decompositions.
 Two independent code paths answer "which n have no seven-cube sum":
 `exception_scan` builds the sums of seven cubes as a sumset on one integer
 bitset, while `search_seven` runs a complete backtracking descent pruned by
-pure-Python bitsets of sums of at most 1, 2, 3 cubes.  A None from
+exact tables of the sums of at most 1, 2, 3 cubes.  A None from
 `search_seven` is a proof of non-representability within the budget, not a
 timeout.
 """
@@ -46,32 +46,45 @@ class SearchBudget:
     window: int = 10**6  # size of the small-sum bitsets
 
 
+# _BIT_PLANES[j] maps a byte to its bit j, so one translate() reads bit j of
+# every byte of a bitset at once
+_BIT_PLANES = tuple(bytes((v >> j) & 1 for v in range(256)) for j in range(8))
+
+
+def _byte_per_value(bits: int, n: int) -> bytearray:
+    """Byte j of the result is 1 exactly when bit j of `bits` is set, for
+    j <= n; at most seven padding bytes follow."""
+    packed = bits.to_bytes(n // 8 + 1, "little")
+    out = bytearray(8 * len(packed))
+    for j, plane in enumerate(_BIT_PLANES):
+        out[j::8] = packed.translate(plane)
+    return out
+
+
 class _Tables:
-    """Bitsets of sums of at most 1, 2, 3 cubes up to `window`."""
+    """Sums of at most 1, 2, 3 cubes up to `window`: small[1] is the
+    frozenset of the cubes, small[2] and small[3] hold one byte per value.
+    The sums are built as integer bitsets, one shift per cube."""
 
     def __init__(self, window: int) -> None:
         self.window = window
-        top = integer_cbrt(window)
-        self.cubes = [x**3 for x in range(top + 1)]
-        s1 = bytearray(window + 1)
-        for c in self.cubes:
-            s1[c] = 1
-        s2 = bytearray(window + 1)
-        for i, ci in enumerate(self.cubes):
-            for cj in self.cubes[i:]:
-                v = ci + cj
-                if v > window:
-                    break
-                s2[v] = 1
-        two_sums = [v for v in range(window + 1) if s2[v]]
-        s3 = bytearray(window + 1)
-        for v in two_sums:
-            for c in self.cubes:
-                w = v + c
-                if w > window:
-                    break
-                s3[w] = 1
-        self.small = (None, s1, s2, s3)
+        cubes = [x * x * x for x in range(integer_cbrt(window) + 1)]
+        mask = (1 << (window + 1)) - 1
+        one = sum(1 << c for c in cubes)
+        two = 0
+        for c in cubes:
+            two |= one << c
+        two &= mask
+        three = 0
+        for c in cubes:
+            three |= two << c
+        three &= mask
+        self.small = (
+            None,
+            frozenset(cubes),
+            _byte_per_value(two, window),
+            _byte_per_value(three, window),
+        )
 
 
 @lru_cache(maxsize=4)
@@ -90,17 +103,23 @@ def search_cubes(
     as a nonincreasing tuple, or None if no such representation exists.
 
     The descent is complete: it enumerates nonincreasing base tuples and
-    prunes with exact bitsets, so None is a proof within the budget.
+    prunes with exact tables, so None is a proof within the budget.
     """
     bud = budget or SearchBudget()
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     if n > bud.max_n:
         raise SearchLimitError(f"{n} exceeds the search budget {bud.max_n}")
-    tables = _tables(bud.window)
-    small = tables.small
     window = bud.window
     positive = min_base > 0
+    lowest = max(min_base, 1)
+    # prune[s]: the sums of at most s cubes up to window (a set for s = 1,
+    # one byte per value for s = 2, 3), tested on the children of a node
+    # with s + 1 slots; None where the tables cannot prune (they allow zero
+    # bases, so they do not apply when min_base > 0)
+    prune = (None,) * (k + 1)
+    if not positive:
+        prune = (_tables(window).small + prune)[: k + 1]
     out: list[int] = []
 
     def rec(rem: int, slots: int, hi: int) -> bool:
@@ -108,25 +127,20 @@ def search_cubes(
             return not positive or slots == 0
         if slots == 1:
             x = integer_cbrt(rem)
-            if x**3 == rem and min_base <= x <= hi:
+            if x * x * x == rem and min_base <= x <= hi:
                 out.append(x)
                 return True
             return False
-        if not positive and slots <= 3 and rem <= window and not small[slots][rem]:
-            return False
+        below = prune[slots - 1]
         x = min(hi, integer_cbrt(rem))
-        while x >= max(min_base, 1):
-            cube = x**3
+        while x >= lowest:
+            cube = x * x * x
             if cube * slots < rem:
                 break
             nrem = rem - cube
-            prune = (
-                not positive
-                and slots - 1 <= 3
-                and nrem <= window
-                and not small[slots - 1][nrem]
-            )
-            if not prune:
+            if below is None or nrem > window or (
+                nrem in below if slots == 2 else below[nrem]
+            ):
                 out.append(x)
                 if rec(nrem, slots - 1, x):
                     return True
@@ -134,7 +148,7 @@ def search_cubes(
             x -= 1
         return False
 
-    if not rec(n, k, integer_cbrt(n) if n else 0):
+    if not rec(n, k, integer_cbrt(n)):
         return None
     result = tuple(out) + (0,) * (k - len(out))
     assert sum(c**3 for c in result) == n

@@ -5,6 +5,8 @@ brute-force roots) or from well-known frozen constants (prime counts,
 pseudoprime landmarks), never from the functions under test.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +220,30 @@ def test_integer_cbrt_small_exhaustive():
         if (r + 1) ** 3 <= n:
             r += 1
         assert integer_cbrt(n) == r, n
+
+
+def _cbrt_neighbours(bases):
+    """x**3 - 1, x**3 and x**3 + 1 for each base x >= 1."""
+    for x in bases:
+        assert integer_cbrt(x**3 - 1) == x - 1, x
+        assert integer_cbrt(x**3) == x, x
+        assert integer_cbrt(x**3 + 1) == x, x
+
+
+def test_integer_cbrt_at_cubes_below_float_limit():
+    # every cube up to 2**54, where the float seed is used
+    _cbrt_neighbours(range(1, 2**18 + 1))
+
+
+def test_integer_cbrt_at_cubes_across_float_limit():
+    # 208063**3 < 2**53 < 208064**3: the float seed and Newton meet here
+    assert 208063**3 < 2**53 < 208064**3
+    _cbrt_neighbours(range(208000, 208101))
+
+
+def test_integer_cbrt_at_large_cubes():
+    rng = random.Random(300)
+    _cbrt_neighbours(rng.randrange(10**299, 10**300) for _ in range(200))
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,6 +14,7 @@ import pytest
 from sevencubes.arith import primes_upto
 from sevencubes.certify import (
     GapCertificate,
+    SparseClassError,
     _admissible_elements,
     _max_consecutive_ratio,
     admissible_gap_certificate,
@@ -218,5 +219,5 @@ def test_max_consecutive_ratio_exact_tie_break():
 
 
 def test_max_consecutive_ratio_requires_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(SparseClassError):
         _max_consecutive_ratio([7])

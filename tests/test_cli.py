@@ -290,6 +290,10 @@ def test_decompose_command_never_imports_numpy():
     "certify dickson --limit 5",
     "certify gaps --set admissible --res 50 --lo 382670 --hi 400000",
     "certify gaps --res 3",
+    "certify gaps --lo 26669 --hi 26680",
+    "certify gaps --set admissible --lo 382670 --hi 382700",
+    "certify identity --samples -5",
+    "decompose 999999 --budget-search -5",
 ])
 def test_out_of_range_arguments_are_usage_errors(argv):
     proc = _interpreter("-m", "sevencubes", *argv.split())

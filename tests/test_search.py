@@ -5,6 +5,8 @@ the frozen exception list is cross-checked against both the searcher and
 the independent sieve scan.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from sevencubes.search import (
     exception_scan,
     exceptional_cube_tables,
     exceptional_table_text,
+    _Tables,
     search_cubes,
     search_seven,
 )
@@ -96,6 +99,41 @@ def test_search_budget():
     tight = SearchBudget(max_n=10**8, window=10**4)
     assert search_cubes(454, 7, budget=tight) is None
     assert search_cubes(456, 7, budget=tight) is not None
+
+
+@pytest.mark.parametrize("window", [1, 7, 8, 9, 1000, 12345])
+def test_small_sum_tables_match_loops(window):
+    cubes = [x**3 for x in range(30) if x**3 <= window]
+    two = {a + b for a in cubes for b in cubes}
+    three = {v + c for v in two for c in cubes}
+    small = _Tables(window).small
+    assert small[1] == set(cubes)
+    for table, sums in ((small[2], two), (small[3], three)):
+        assert len(table) - (window + 1) in range(8)
+        assert [i for i, bit in enumerate(table) if bit] == sorted(
+            v for v in sums if v <= window
+        )
+
+
+def test_small_sum_tables_are_golden():
+    # pinned bytes: a faster builder must give exactly these tables
+    small = _Tables(10**6).small
+    assert small[1] == {x**3 for x in range(101)}
+    assert hashlib.sha256(small[2][: 10**6 + 1]).hexdigest() == (
+        "1a1eaeb184494ada8ff0e1c7010f5ac2b4a3d86af25f375a07b7df18afdb8da1"
+    )
+    assert hashlib.sha256(small[3][: 10**6 + 1]).hexdigest() == (
+        "b8a3cf6b7c986eca4f7c9a038f999662da0a1ef6c019209d77c13a10011c67f9"
+    )
+
+
+def test_search_seven_is_golden():
+    # every tuple for n <= 2 * 10**5 is pinned, so pruning and visiting
+    # order cannot change an answer unnoticed
+    text = "".join(f"{search_seven(n)!r}\n" for n in range(2 * 10**5 + 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f0416d57893c4f89c2c9fbcd6130de09b34cbe33583a3405c774689c68641676"
+    )
 
 
 def test_exception_scan_matches_frozen():
