@@ -17,6 +17,10 @@ from typing import Iterable, Sequence
 __all__ = [
     "PROBABLE_PRIME_THRESHOLD",
     "TRIAL_DIVISION_BOUND",
+    "TRIAL_LOOP_PRIMES",
+    "TRIAL_PRIMES_5_MOD_6",
+    "TRIAL_PRODUCT_1_MOD_6",
+    "TRIAL_PRODUCT_5_MOD_6",
     "clear_bits",
     "crt",
     "cube_root_mod_6n",
@@ -38,8 +42,30 @@ __all__ = [
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PROBABLE_PRIME_THRESHOLD = 3_317_044_064_679_887_385_961_981
 
-# modulus.admissible_factors trial-divides by the primes up to this bound;
-# factorize takes only the cofactors that have none of them
+# psi_k, the smallest strong pseudoprime to the first k of _MR_BASES
+# (Jaeschke 1993 for k <= 8, Jiang and Deng 2014 for k = 9..11, Sorenson and
+# Webster 2015 for k = 12, 13): an n that passes the first k bases and is
+# below psi_k is prime, so is_prime stops there.  psi_13 is
+# PROBABLE_PRIME_THRESHOLD.
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    PROBABLE_PRIME_THRESHOLD,
+)
+
+# modulus.admissible_factors trial-divides by the primes up to this bound, by a
+# loop and two gcds (see TRIAL_LOOP_PRIMES); factorize takes only the
+# cofactors that have none of them
 TRIAL_DIVISION_BOUND = 10_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -170,9 +196,11 @@ def is_prime(n: int) -> bool:
     """Primality test.
 
     Deterministic for n below PROBABLE_PRIME_THRESHOLD, the thirteen-base
-    Miller-Rabin bound (about 3.3e24).  Above it this is a strong
-    probable-prime test (Miller-Rabin on the fixed bases plus a strong Lucas
-    test).  No known composite passes.
+    Miller-Rabin bound (about 3.3e24): Miller-Rabin stops after the first k
+    bases once n is below psi_k, the smallest strong pseudoprime to them, so
+    a prime below 2.5e7 takes 3 bases and one below 2**64 at most 12.  Above
+    the threshold this is a strong probable-prime test (Miller-Rabin on all
+    13 bases plus a strong Lucas test).  No known composite passes.
     """
     if n < 2:
         return False
@@ -186,11 +214,11 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
         if _mr_witness(n, a, d, s):
             return False
-    if n < PROBABLE_PRIME_THRESHOLD:
-        return True
+        if n < psi:
+            return True
     return _strong_lucas_prp(n)
 
 
@@ -231,8 +259,17 @@ def _pollard_brent(n: int) -> int:
     raise AssertionError("unreachable")
 
 
-# one gcd with this product checks factorize's precondition
-_TRIAL_PRODUCT = math.prod(primes_upto(TRIAL_DIVISION_BOUND))
+# The trial primes as modulus.admissible_factors takes them: a loop over those
+# below 200, then one gcd with the product of the rest that are 1 (mod 6) and
+# one with the product of those that are 5 (mod 6); 2 and 3 are in the loop.
+# The three together make the product that checks factorize's precondition.
+_trial_primes = primes_upto(TRIAL_DIVISION_BOUND)
+TRIAL_LOOP_PRIMES = tuple(p for p in _trial_primes if p < 200)
+TRIAL_PRIMES_5_MOD_6 = tuple(p for p in _trial_primes if p >= 200 and p % 6 == 5)
+TRIAL_PRODUCT_5_MOD_6 = math.prod(TRIAL_PRIMES_5_MOD_6)
+TRIAL_PRODUCT_1_MOD_6 = math.prod(p for p in _trial_primes if p >= 200 and p % 6 == 1)
+_TRIAL_PRODUCT = math.prod(TRIAL_LOOP_PRIMES) * TRIAL_PRODUCT_1_MOD_6 * TRIAL_PRODUCT_5_MOD_6
+del _trial_primes
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

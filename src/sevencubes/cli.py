@@ -16,18 +16,6 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .certify import (
-    SparseClassError,
-    admissible_gap_certificate,
-    constants_report,
-    dickson_report,
-    identity_report,
-    prime_gap_certificate,
-    steering_table_report,
-    steering_table_text,
-    steering_uniqueness_report,
-    window_report,
-)
 from .construct import (
     DecomposeConfig,
     NotRepresentableError,
@@ -47,8 +35,19 @@ from .search import (
 _DEFAULTS = DecomposeConfig()
 _SELFTEST_SEED = 20110213
 
+# `certify` is imported only by the commands that use it (certify, selftest
+# and the steering table): `decompose` never needs it, and importing it took
+# about 5% of a `decompose` cold start.
+
+
+def _steering_table_text() -> str:
+    from . import certify
+
+    return certify.steering_table_text()
+
+
 _TABLES = {
-    "table1": ("table1.txt", steering_table_text),
+    "table1": ("table1.txt", _steering_table_text),
     "table2": ("table2.txt", table2_text),
     "exceptional": ("exceptional.txt", exceptional_table_text),
 }
@@ -171,6 +170,8 @@ def _gap_usage_error(args: argparse.Namespace) -> str | None:
 
 
 def _gap_reports(args: argparse.Namespace) -> list[dict]:
+    from . import certify
+
     records = []
     which = args.which_set
     if which in ("primes", "both"):
@@ -179,7 +180,7 @@ def _gap_reports(args: argparse.Namespace) -> list[dict]:
         modulus = args.mod if args.mod is not None else 12
         residues = [args.res] if args.res is not None else [5, 11]
         for residue in residues:
-            cert = prime_gap_certificate(residue, modulus, lo, hi, bound=bound)
+            cert = certify.prime_gap_certificate(residue, modulus, lo, hi, bound=bound)
             records.append(cert.to_record())
     if which in ("admissible", "both"):
         bound = args.max_ratio or Fraction(26669, 26141)
@@ -190,7 +191,7 @@ def _gap_reports(args: argparse.Namespace) -> list[dict]:
             else [c for c in range(1, 100, 2) if c % 25 != 0]
         )
         for cls in classes:
-            cert = admissible_gap_certificate(cls, lo, hi, bound=bound)
+            cert = certify.admissible_gap_certificate(cls, lo, hi, bound=bound)
             records.append(cert.to_record())
     return records
 
@@ -206,20 +207,22 @@ def _all_ok(obj) -> bool:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from . import certify
+
     what = args.what
     reports: dict = {}
     if what in ("constants", "all"):
-        reports["constants"] = constants_report()
+        reports["constants"] = certify.constants_report()
     if what in ("identity", "all"):
-        reports["identity"] = identity_report(args.samples, args.seed)
+        reports["identity"] = certify.identity_report(args.samples, args.seed)
     if what in ("steering", "all"):
-        reports["steering"] = steering_table_report()
+        reports["steering"] = certify.steering_table_report()
     if what in ("uniqueness", "all"):
-        reports["uniqueness"] = steering_uniqueness_report()
+        reports["uniqueness"] = certify.steering_uniqueness_report()
     if what in ("windows", "all"):
-        reports["windows"] = window_report()
+        reports["windows"] = certify.window_report()
     if what in ("dickson", "all"):
-        reports["dickson"] = dickson_report(args.limit)
+        reports["dickson"] = certify.dickson_report(args.limit)
     if what in ("gaps", "all"):
         reports["gaps"] = _gap_reports(args)
     print(json.dumps(reports, sort_keys=True, indent=2))
@@ -227,13 +230,15 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _selftest_payload() -> dict:
+    from . import certify
+
     payload: dict = {
-        "constants": constants_report(),
-        "steering_table": steering_table_report(),
-        "steering_uniqueness": steering_uniqueness_report(),
-        "windows": window_report(),
-        "identity": identity_report(20_000, seed=_SELFTEST_SEED),
-        "dickson": dickson_report(20_000),
+        "constants": certify.constants_report(),
+        "steering_table": certify.steering_table_report(),
+        "steering_uniqueness": certify.steering_uniqueness_report(),
+        "windows": certify.window_report(),
+        "identity": certify.identity_report(20_000, seed=_SELFTEST_SEED),
+        "dickson": certify.dickson_report(20_000),
     }
 
     trace = decompose(202258)
@@ -368,7 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "certify" and args.what in ("gaps", "all"):
+    if args.command != "certify":
+        return args.func(args)
+    from .certify import SparseClassError
+
+    if args.what in ("gaps", "all"):
         problem = _gap_usage_error(args)
         if problem:
             parser.error(f"certify: {problem}")

@@ -21,13 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
+from math import gcd
 
 from .arith import (
     TRIAL_DIVISION_BOUND,
+    TRIAL_LOOP_PRIMES,
+    TRIAL_PRIMES_5_MOD_6,
+    TRIAL_PRODUCT_1_MOD_6,
+    TRIAL_PRODUCT_5_MOD_6,
     factorize,
     integer_cbrt,
     is_prime,
-    primes_upto,
 )
 
 __all__ = [
@@ -56,7 +61,10 @@ VALID_HI = 1786
 
 _IDENTITY_CONSTANT = 1402  # = 2 * (4**3 + 5**3 + 8**3), see construct.py
 
-_TRIAL_PRIMES = tuple(primes_upto(TRIAL_DIVISION_BOUND))
+# The smallest composite with no prime factor up to TRIAL_DIVISION_BOUND is
+# the square of the first prime past it (10007**2): a cofactor left by the
+# trial division below this square is 1 or a prime.
+_UNTRIED_SQUARE = next(p for p in count(TRIAL_DIVISION_BOUND + 1) if is_prime(p)) ** 2
 
 # The only size bound on factoring: admissible_factors refuses values of more
 # bits, and the direct scan stops below 2**DIRECT_SCAN_BITS.
@@ -104,9 +112,14 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
     The empty product n = 1 is admissible.  Raises ValueError for n < 1 and
     for n of more than DIRECT_SCAN_BITS bits, which it never factors.
 
-    Trial division rejects n at its first small factor that is 2, 3,
-    1 (mod 6) or repeated; a cofactor left after it is decided by one
-    primality test, and only a composite cofactor is factorized.
+    Trial division by the primes up to TRIAL_DIVISION_BOUND comes first: a
+    loop over the primes below 200, which ends once p * p exceeds what is
+    left, then one gcd with the product of the remaining trial primes that
+    are 1 (mod 6), which rejects n, and one with the product of those that
+    are 5 (mod 6), which collects them.  A small factor that is 2, 3,
+    1 (mod 6) or repeated rejects n.  The cofactor left has no trial prime
+    factor; below 10007**2 it is 1 or a prime, above it one primality test
+    decides it, and only a composite cofactor is factorized.
     """
     if n < 1:
         raise ValueError("modulus candidates must be positive")
@@ -114,13 +127,9 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
         raise ValueError(
             f"{n.bit_length()}-bit value exceeds the {DIRECT_SCAN_BITS}-bit factoring cap"
         )
-    if n == 1:
-        return ()
-    if n % 2 == 0 or n % 3 == 0:
-        return None
     primes: list[int] = []
     m = n
-    for p in _TRIAL_PRIMES:
+    for p in TRIAL_LOOP_PRIMES:
         if p * p > m:
             break
         if m % p == 0:
@@ -129,8 +138,23 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
                 return None
             primes.append(p)
     else:
-        # m has no prime factor up to the trial bound, so it may be composite
-        if m > 1 and not is_prime(m):
+        # m has no prime factor below 200; the gcds take the trial primes above
+        if gcd(m, TRIAL_PRODUCT_1_MOD_6) != 1:
+            return None
+        g = gcd(m, TRIAL_PRODUCT_5_MOD_6)
+        if g > 1:
+            m //= g
+            if gcd(m, g) != 1:
+                return None  # a factor of g is repeated
+            # g is squarefree: split it by trial division, up to its square root
+            for p in TRIAL_PRIMES_5_MOD_6:
+                if p * p > g:
+                    break
+                if g % p == 0:
+                    primes.append(p)
+                    g //= p
+            primes.append(g)
+        if m >= _UNTRIED_SQUARE and not is_prime(m):
             fac = factorize(m)
             if all(e == 1 and p % 6 == 5 for p, e in fac):
                 return tuple(primes) + tuple(p for p, _ in fac)

@@ -5,6 +5,7 @@ brute-force roots) or from well-known frozen constants (prime counts,
 pseudoprime landmarks), never from the functions under test.
 """
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from sevencubes.arith import (
     _GCD_SIEVE_BOUND,
+    _MR_PSI,
     PROBABLE_PRIME_THRESHOLD,
     TRIAL_DIVISION_BOUND,
     clear_bits,
@@ -27,6 +29,7 @@ from sevencubes.arith import (
     prime_sieve,
     primes_upto,
 )
+from sevencubes.arith import _strong_lucas_prp as strong_lucas_prp
 
 
 def naive_is_prime(n: int) -> bool:
@@ -317,3 +320,97 @@ def test_cube_root_rejects_bad_prime_lists():
 def test_probable_prime_threshold_is_13_base_bound():
     # the smallest composite passing Miller-Rabin on the first 13 prime bases
     assert PROBABLE_PRIME_THRESHOLD == 3317044064679887385961981
+
+
+# -- the Miller-Rabin cut-offs --------------------------------------------------
+
+_FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_k, k = 1..13, with a factorization of each (Jaeschke 1993; Jiang and
+# Deng 2014; Sorenson and Webster 2015)
+PSI_FACTORS = (
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+    (3317044064679887385961981, (1287836182261, 2575672364521)),
+)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the strong Fermat test to base a (odd n > 2)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_all_bases(n: int) -> bool:
+    """The primality test without cut-offs: every number that gets past the
+    small primes runs all 13 Miller-Rabin bases, then the Lucas test above
+    the 13-base bound."""
+    if n < 2:
+        return False
+    for p in _FIRST_13_PRIMES:
+        if n % p == 0:
+            return n == p
+    if not all(strong_probable_prime(n, a) for a in _FIRST_13_PRIMES):
+        return False
+    return n < PROBABLE_PRIME_THRESHOLD or strong_lucas_prp(n)
+
+
+def test_mr_psi_table():
+    assert _MR_PSI == tuple(psi for psi, _ in PSI_FACTORS)
+    assert _MR_PSI[-1] == PROBABLE_PRIME_THRESHOLD
+    assert list(_MR_PSI) == sorted(_MR_PSI)
+    for k, (psi, factors) in enumerate(PSI_FACTORS, start=1):
+        # composite, and a strong probable prime to the first k bases
+        assert len(factors) > 1 and all(f > 1 for f in factors)
+        assert psi == math.prod(factors)
+        assert all(strong_probable_prime(psi, a) for a in _FIRST_13_PRIMES[:k]), k
+        assert not is_prime(psi)
+        # where the next entry is larger, psi_k fails base k + 1
+        if k < 13 and _MR_PSI[k] > psi:
+            assert not strong_probable_prime(psi, _FIRST_13_PRIMES[k]), k
+
+
+def test_mr_psi_smallest_for_one_and_two_bases():
+    # no odd composite below psi_1 passes base 2, none below psi_2 bases 2, 3
+    sieve = prime_sieve(_MR_PSI[1])
+    for n in range(9, _MR_PSI[1], 2):
+        if sieve[n] or not strong_probable_prime(n, 2):
+            continue
+        assert n >= _MR_PSI[0], n
+        assert not strong_probable_prime(n, 3), n
+
+
+def test_is_prime_matches_all_bases_near_psi():
+    for psi in _MR_PSI:
+        for n in range(psi - 4, psi + 5):
+            assert is_prime(n) == is_prime_all_bases(n), n
+
+
+def test_is_prime_matches_all_bases_seeded():
+    rng = random.Random(20240613)
+    primes = 0
+    for _ in range(100_000):
+        n = rng.getrandbits(rng.randrange(11, 91))
+        verdict = is_prime(n)
+        assert verdict == is_prime_all_bases(n), n
+        primes += verdict
+    assert primes > 1000  # the early exits were taken

@@ -283,6 +283,18 @@ def test_decompose_command_never_imports_numpy():
     assert _python("-c", code).splitlines()[-1] == b"False"
 
 
+def test_decompose_command_never_imports_certify():
+    # certify is imported only by the commands that use it
+    code = (
+        "import sys\n"
+        "from sevencubes.cli import main\n"
+        "for argv in (['decompose', str(10**39 + 2)], ['tables', 'table2'], ['verify', '7'] + ['1'] * 7):\n"
+        "    main(argv)\n"
+        "print('sevencubes.certify' in sys.modules)\n"
+    )
+    assert _python("-c", code).splitlines()[-1] == b"False"
+
+
 @pytest.mark.parametrize("argv", [
     "exceptions --limit -5",
     "certify gaps --hi 5",

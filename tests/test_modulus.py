@@ -5,6 +5,7 @@ steering oracle is a from-scratch reimplementation of the selection rule;
 the module under test must reproduce both exactly.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevencubes import modulus
-from sevencubes.arith import factorize
+from sevencubes.arith import factorize, is_prime, primes_upto
 from sevencubes.modulus import (
     VALID_HI,
     VALID_LO,
@@ -122,6 +123,15 @@ def test_admissible_factors_each_exit_matches_naive(monkeypatch):
         10007 * 10009: None,  # composite cofactor with a factor = 1 (mod 6)
         10007**2: None,  # square of a prime past the trial bound
         11 * 10037**2: None,
+        # past the loop over the primes below 200, a gcd with the product of
+        # the trial primes = 1 (mod 6) rejects and one with those = 5 (mod 6)
+        # collects; 211 = 1 and 233, 9941 = 5 (mod 6)
+        5 * 211 * 10007: None,  # a bad trial prime above the loop
+        11 * 233**2: None,  # the square of a good trial prime above the loop
+        5 * 233 * 9941: (5, 233, 9941),  # two good trial primes above the loop
+        # a cofactor in [9973**2, 10007**2) is prime without a test
+        11 * 99460841: (11, 99460841),  # = 5 (mod 6)
+        11 * 99460747: None,  # = 1 (mod 6)
     }
     factorized = []
 
@@ -135,6 +145,62 @@ def test_admissible_factors_each_exit_matches_naive(monkeypatch):
         assert uncached(n) == naive_admissible_factors(n) == expected, n
     # only composite cofactors free of trial-division factors are factorized
     assert factorized == [10007 * 10037, 10007 * 10037, 10007 * 10009, 10007**2, 10037**2]
+
+
+def test_admissible_factors_tests_only_cofactors_past_the_untried_square(monkeypatch):
+    # no composite below 10007**2 is free of trial primes, so a cofactor
+    # below it gets no primality test; above it, one
+    tested = []
+
+    def counting_is_prime(m):
+        tested.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(modulus, "is_prime", counting_is_prime)
+    uncached = admissible_factors.__wrapped__
+    assert uncached(11 * 99460841) == (11, 99460841)  # 9973**2 < 99460841
+    assert uncached(5 * 9941 * 10007) == (5, 9941, 10007)
+    assert uncached(11 * 100140049) is None  # = 10007**2
+    assert uncached(11 * 100140059) == (11, 100140059)  # the next prime, = 5 (mod 6)
+    assert tested == [10007**2, 100140059]
+
+
+def test_admissible_factors_matches_naive_seeded():
+    # values of 20-96 bits built from primes on both sides of every bound in
+    # admissible_factors (200, the trial bound 10**4, 10007**2), repeats
+    # allowed, with at most one prime above 2 * 10**4 so that the naive
+    # reference stays fast
+    rng = random.Random(1618)
+    uncached = admissible_factors.__wrapped__
+    pool = primes_upto(2 * 10**4)
+    small = [p for p in pool if p < 200]
+    trial = [p for p in pool if 200 <= p <= 10**4]
+    past = [p for p in pool if p > 10**4]
+    big = []
+    while len(big) < 20:
+        cand = 6 * rng.randrange(10**8 // 6, 10**9 // 6) + 5
+        if all(cand % p for p in small) and naive_admissible_factors(cand) == (cand,):
+            big.append(cand)  # a prime = 5 (mod 6)
+    checked = admitted = 0
+    while checked < 1000:
+        n = rng.choice(big) if rng.random() < 0.3 else 1
+        while n.bit_length() < 20 or rng.random() < 0.6:
+            source = rng.choice((small, trial, trial, past))
+            p = rng.choice(source)
+            if p % 6 != 5 and rng.random() < 0.8:
+                continue  # mostly good primes, so that many values get far
+            n *= p
+        if n.bit_length() > 96:
+            continue
+        expected = naive_admissible_factors(n)
+        assert uncached(n) == expected, n
+        checked += 1
+        admitted += expected is not None
+    assert admitted > 200
+    # and uniformly random values of 20-34 bits
+    for _ in range(500):
+        n = rng.getrandbits(rng.randrange(20, 35)) | 1 << 19
+        assert uncached(n) == naive_admissible_factors(n), n
 
 
 def test_aux_modulus_validation():
