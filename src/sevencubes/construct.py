@@ -35,7 +35,6 @@ from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .arith import (
-    PROBABLE_PRIME_THRESHOLD,
     cube_root_mod_6n,
     has_small_factor,
     is_perfect_square,
@@ -413,8 +412,10 @@ class Trace:
     `branch` is "construction" (identity route on n itself), "fallback"
     (exhaustive search or stored exceptional tables), or "scaled" (any route
     applied to n0 < n and scaled by a power of 5).  Construction-specific
-    fields are None on the other branches.  `probable_primes` lists factors
-    above the deterministic primality threshold (never serialised).
+    fields are None on the other branches.  `probable_primes` lists the
+    modulus factors that only a probable-prime test accepted: direct-scan
+    factors above the deterministic primality threshold, while the composite
+    route's primes are proven (never serialised).
     """
 
     n: int
@@ -536,9 +537,7 @@ def _construct(n: int) -> Trace | None:
             x1=rep.x1,
             x2=2 * rep.y,
             x3=rep.x3,
-            probable_primes=tuple(
-                f for f in modulus.primes if f > PROBABLE_PRIME_THRESHOLD
-            ),
+            probable_primes=modulus.probable,
         )
     return None
 

@@ -13,7 +13,9 @@ input n = 2 (mod 4) the construction needs
 
 This module picks steering residues, scans the valid interval directly, and
 provides a two-factor route m = m0 * p through a precomputed window of base
-moduli, which avoids factoring anything large: p only needs a primality test.
+moduli, which avoids factoring anything large: p only needs a primality
+proof, and above the thirteen-base Miller-Rabin range p is taken from a
+progression in which Pocklington's theorem gives one cheaply.
 """
 
 from __future__ import annotations
@@ -25,14 +27,18 @@ from itertools import count
 from math import gcd
 
 from .arith import (
+    PROBABLE_PRIME_THRESHOLD,
     TRIAL_DIVISION_BOUND,
     TRIAL_LOOP_PRIMES,
     TRIAL_PRIMES_5_MOD_6,
     TRIAL_PRODUCT_1_MOD_6,
     TRIAL_PRODUCT_5_MOD_6,
+    crt,
     factorize,
+    has_small_factor,
     integer_cbrt,
     is_prime,
+    pocklington_prime,
 )
 
 __all__ = [
@@ -77,10 +83,15 @@ class NoWindowError(Exception):
 
 @dataclass(frozen=True)
 class AuxModulus:
-    """An admissible modulus together with its (certified) prime factors."""
+    """An admissible modulus together with its (certified) prime factors.
+
+    `probable` lists the factors that only a probable-prime test accepted:
+    those above PROBABLE_PRIME_THRESHOLD that no proof covers.
+    """
 
     value: int
     primes: tuple[int, ...]
+    probable: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         prod = 1
@@ -94,6 +105,8 @@ class AuxModulus:
             prod *= p
         if prod != self.value:
             raise ValueError("value does not match its factorization")
+        if self.probable and not set(self.probable) <= set(self.primes):
+            raise ValueError("probable primes must be among the factors")
 
 
 @dataclass(frozen=True)
@@ -234,7 +247,10 @@ def iter_moduli_direct(n: int, *, scan_limit: int | None = None):
         examined += 1
         fac = admissible_factors(cand)
         if fac is not None:
-            yield AuxModulus(cand, fac)
+            probable = () if cand <= PROBABLE_PRIME_THRESHOLD else tuple(
+                f for f in fac if f > PROBABLE_PRIME_THRESHOLD
+            )
+            yield AuxModulus(cand, fac, probable)
 
 
 # -- the base window ---------------------------------------------------------
@@ -366,11 +382,17 @@ def iter_moduli_composite(
     scan_limit: int | None = None,
 ):
     """Moduli m = m0 * p with m0 from the base window and p prime, scanned
-    by ascending p.  Needs no factorization: p is primality-tested only,
-    and m0 carries its factors.
+    by ascending p.  Needs no factorization: p is proven prime, and m0
+    carries its factors.
 
     p runs over the class p = 5 (mod 6), p = n/2 (mod 4) inside the
     conservative size interval; m0 is pinned by m0 = b * p**-1 (mod 25).
+    While p_hi is below PROBABLE_PRIME_THRESHOLD every p of the class is
+    tried and is_prime is a proof.  Once p_hi passes it, p also runs over
+    p = 1 (mod F) for F = 2 * 5**k, the least such F with F * F > p_hi: a
+    p with no factor up to 3000 is accepted only on a Pocklington
+    certificate, which costs about one modular exponentiation.  There
+    p = 1 (mod 25), so m0 = b (mod 25).
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")
@@ -382,13 +404,25 @@ def iter_moduli_composite(
     r4 = (n // 2) % 4
     target = 5 if 5 % 4 == r4 else 11  # the class mod 12 with p = 5 (mod 6)
     table = dict(base_window_table())
-    first = p_lo + (target - p_lo) % 12
+    pocklington = p_hi > PROBABLE_PRIME_THRESHOLD
+    if pocklington:
+        f, k = 2, 0
+        while f * f <= p_hi:
+            f, k = 5 * f, k + 1
+        step = 6 * f
+        start = crt([(1, f // 2), (target, 12)])
+    else:
+        step, start = 12, target
+    first = p_lo + (start - p_lo) % step
     examined = 0
-    for p in range(first, p_hi + 1, 12):
+    for p in range(first, p_hi + 1, step):
         if scan_limit is not None and examined >= scan_limit:
             return
         examined += 1
-        if not is_prime(p):
+        if pocklington:
+            if has_small_factor(p) or not pocklington_prime(p, k):
+                continue
+        elif not is_prime(p):
             continue
         row = residue_mod25 * pow(p, -1, 25) % 25
         for m0, m0_factors in table[row]:

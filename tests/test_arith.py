@@ -26,9 +26,11 @@ from sevencubes.arith import (
     is_perfect_square,
     is_prime,
     jacobi,
+    pocklington_prime,
     prime_sieve,
     primes_upto,
 )
+from sevencubes import arith
 from sevencubes.arith import _strong_lucas_prp as strong_lucas_prp
 
 
@@ -414,3 +416,59 @@ def test_is_prime_matches_all_bases_seeded():
         assert verdict == is_prime_all_bases(n), n
         primes += verdict
     assert primes > 1000  # the early exits were taken
+
+
+# -- Pocklington certificates ---------------------------------------------------
+
+
+def test_pocklington_prime_matches_is_prime_exhaustive():
+    # every p = 1 + F * R with F = 2 * 5**k and F * F > p, for k = 1..6
+    primes = 0
+    for k in range(1, 7):
+        f = 2 * 5**k
+        for p in range(1 + f, f * f, f):
+            verdict = pocklington_prime(p, k)
+            assert verdict == is_prime(p), (p, k)
+            primes += verdict
+    assert primes > 5000
+
+
+def test_pocklington_prime_matches_is_prime_seeded():
+    rng = random.Random(20261019)
+    primes = 0
+    for _ in range(2000):
+        bits = rng.randrange(80, 401)
+        k = 1
+        while 4 * 25**k < 1 << bits:
+            k += 1
+        f = 2 * 5**k
+        p = 1 + f * rng.randrange(f // 25, f)
+        verdict = pocklington_prime(p, k)
+        assert verdict == is_prime(p), (p, k)
+        primes += verdict
+    assert primes >= 20
+
+
+def test_pocklington_prime_rejects_squares_and_bad_input():
+    for k in (1, 6, 20, 60):
+        f = 2 * 5**k
+        # (F - 1)**2 = 1 (mod F) is below F * F and has no Jacobi symbol -1
+        assert not pocklington_prime((f - 1) ** 2, k)
+    with pytest.raises(ValueError):
+        pocklington_prime(13, 1)  # not 1 (mod 10)
+    with pytest.raises(ValueError):
+        pocklington_prime(101, 1)  # 10 * 10 <= 101
+
+
+def test_pocklington_prime_skips_a_prime_when_its_bases_run_out(monkeypatch):
+    # with 2 the only base, a prime p = +-1 (mod 8) has no non-residue, and
+    # one with 2**((p-1)/10) = -1 has no base for q = 5
+    k, f = 2, 50
+    primes = [p for p in range(1 + f, f * f, f) if is_prime(p)]
+    residue = next(p for p in primes if p % 8 in (1, 7))
+    fifth = next(p for p in primes if pow(2, (p - 1) // 10, p) == p - 1)
+    monkeypatch.setattr(arith, "TRIAL_LOOP_PRIMES", (2,))
+    assert not pocklington_prime(residue, k)
+    assert not pocklington_prime(fifth, k)
+    monkeypatch.undo()
+    assert pocklington_prime(residue, k) and pocklington_prime(fifth, k)

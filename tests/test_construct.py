@@ -280,9 +280,36 @@ def test_decompose_300_digit_record_pinned():
     tr = decompose(10**299 + 6)
     record = tr.to_record()
     assert record["branch"] == "construction" and record["verified"] is True
-    assert record["p_factors"][0] == 26141
+    # the composite route's prime comes from the progression p = 1 (mod F),
+    # F = 2 * 5**67 with F * F > p, which Pocklington's theorem proves prime
+    m0, p = record["p_factors"]
+    assert m0 == 26177
+    assert p == int(
+        "146347054103291644879286825974339571791675010990296888074846393124"
+        "06216049566864967346191406251"
+    )
+    f = 2 * 5**67
+    assert p % f == 1 and f * f > p
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
-    assert digest == "2d4aa69f8f9b6ff4f7f5c4a0658ef2b89b6485f0770746662f8e76650d4ecaa5"
+    assert digest == "d4ed02aa8bdfb760a48736f4020f9463f5b3280715e55535261f8941b388880b"
+
+
+def test_probable_primes_lists_only_unproven_factors():
+    # the composite route proves its prime: nothing is probable, also when
+    # p_lo is just below the threshold and the prime found is above it
+    assert decompose(10**299 + 6).probable_primes == ()
+    n = 1786 * 26141**3 * (arith.PROBABLE_PRIME_THRESHOLD - 50) ** 3 - 1
+    n -= (n - 2) % 4
+    tr = decompose(n)
+    assert tr.p_factors[-1] > arith.PROBABLE_PRIME_THRESHOLD and tr.probable_primes == ()
+    # a direct-scan modulus, prime and in [3.3e24, 2**96): is_prime only
+    # calls it a strong probable prime
+    tr = decompose(10**82 + 2)
+    assert tr.p_factors == (177571330382613294250565969,)
+    assert tr.probable_primes == tr.p_factors
+    assert arith.PROBABLE_PRIME_THRESHOLD < tr.p_value < 2**96
+    # a direct-scan factor below the threshold is proven
+    assert decompose(10**30 + 2).probable_primes == ()
 
 
 def test_binary_part_shapes():

@@ -7,13 +7,14 @@ the module under test must reproduce both exactly.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevencubes import modulus
-from sevencubes.arith import factorize, is_prime, primes_upto
+from sevencubes.arith import PROBABLE_PRIME_THRESHOLD, factorize, is_prime, primes_upto
 from sevencubes.modulus import (
     VALID_HI,
     VALID_LO,
@@ -211,6 +212,8 @@ def test_aux_modulus_validation():
         AuxModulus(55, (11, 5))
     with pytest.raises(ValueError):
         AuxModulus(56, (5, 11))
+    with pytest.raises(ValueError):
+        AuxModulus(55, (5, 11), (17,))  # a probable prime that is no factor
     assert admissible_factors(26669) == (26669,) and admissible_factors(26670) is None
 
 
@@ -425,3 +428,60 @@ def test_iter_moduli_composite_structure():
     base = first.value // tail
     assert base * tail == first.value
     assert 26141 <= base <= 26669
+
+
+def _pocklington_holds(p: int, f: int) -> bool:
+    """Pocklington's certificate for p with F = f = 2 * 5**k, from plain
+    pow and gcd: F | p - 1, F * F > p, and for q = 2 and q = 5 a base a
+    with a**(p-1) = 1 and gcd(a**((p-1)/q) - 1, p) = 1."""
+    return (
+        (p - 1) % f == 0
+        and f * f > p
+        and all(
+            any(
+                pow(a, p - 1, p) == 1 and gcd(pow(a, (p - 1) // q, p) - 1, p) == 1
+                for a in range(2, 200)
+            )
+            for q in (2, 5)
+        )
+    )
+
+
+@pytest.mark.parametrize("n", [10**120 + 2, 10**200 + 6], ids=["1e120+2", "1e200+6"])
+def test_iter_moduli_composite_primes_are_pocklington_proven(n):
+    p_lo, p_hi = composite_prime_bounds(n)
+    assert p_lo > PROBABLE_PRIME_THRESHOLD
+    f = 2
+    while f * f <= p_hi:
+        f *= 5
+    # the first prime p = 1 (mod F) of the class mod 12, walked in steps of F
+    first = next(
+        p
+        for p in range(p_lo + (1 - p_lo) % f, p_hi + 1, f)
+        if p % 6 == 5 and p % 4 == (n // 2) % 4 and is_prime(p)
+    )
+    for b in range(1, 25):
+        m = next(iter_moduli_composite(n, b))
+        assert modulus_valid(n, m.value)
+        assert m.value % 25 == b and m.value % 4 == (n // 2) % 4
+        p = m.primes[-1]
+        assert p == first
+        assert _pocklington_holds(p, f), (b, p)
+        assert m.probable == ()
+
+
+def test_iter_moduli_composite_skips_an_uncertified_prime(monkeypatch):
+    n = 10**120 + 2
+    first = next(iter_moduli_composite(n, 1)).primes[-1]
+    certify = modulus.pocklington_prime
+    monkeypatch.setattr(modulus, "pocklington_prime", lambda p, k: p != first and certify(p, k))
+    second = next(iter_moduli_composite(n, 1)).primes[-1]
+    assert second > first
+    assert next(iter_moduli_composite(n, 2)).primes[-1] == second
+
+
+def test_iter_moduli_direct_marks_probable_factors():
+    n = 10**82 + 2  # its smallest admissible modulus is a prime above 3.3e24
+    m = next(iter_moduli_direct(n))
+    assert m.primes == (177571330382613294250565969,) and m.probable == m.primes
+    assert all(m.probable == () for m in iter_moduli_direct(10**30 + 2, scan_limit=200))
