@@ -1,7 +1,7 @@
-"""Exact integer arithmetic: prime sieving, primality tests, Pocklington
-proofs, factorization, integer roots, integer bitsets, Chinese
-remaindering, and cube roots to moduli of the form 6n with n a squarefree
-product of primes congruent to 5 mod 6.
+"""Exact integer arithmetic: prime sieving, primality tests, factorization,
+integer roots, integer bitsets, Chinese remaindering, and cube roots to
+moduli of the form 6n with n a squarefree product of primes congruent to
+5 mod 6.
 
 Everything operates on plain Python ints (arbitrary precision).  Integers
 serialize as decimal strings with no separators.
@@ -30,7 +30,6 @@ __all__ = [
     "is_perfect_square",
     "is_prime",
     "jacobi",
-    "pocklington_prime",
     "prime_sieve",
     "primes_upto",
 ]
@@ -221,41 +220,6 @@ def is_prime(n: int) -> bool:
         if n < psi:
             return True
     return _strong_lucas_prp(n)
-
-
-def pocklington_prime(p: int, k: int) -> bool:
-    """True when Pocklington's theorem proves p prime with F = 2 * 5**k.
-
-    Requires p = 1 (mod F) and F * F > p.  Then p is prime once, for q = 2
-    and for q = 5, some base a has a**(p-1) = 1 and gcd(a**((p-1)/q) - 1,
-    p) = 1 (Pocklington 1914; Brillhart, Lehmer and Selfridge 1975): every
-    prime factor of p is then 1 (mod F), so above sqrt(p).
-
-    The q = 2 base is the least prime a with Jacobi (a | p) = -1.  One
-    exponentiation y = a**((p-1)/10) settles both q when y**5 = -1 and
-    gcd(y*y - 1, p) = 1, as it does for about four primes in five; only q = 5
-    tries further bases.  Bases are the primes below 200: a p for which they
-    run out, as a square always does, gets False.  False means p is composite
-    or unsettled; True is a proof.
-    """
-    f = 2 * 5**k
-    if p % f != 1 or f * f <= p:
-        raise ValueError("needs p = 1 (mod F) and F * F > p for F = 2 * 5**k")
-    a = next((a for a in TRIAL_LOOP_PRIMES if jacobi(a, p) == -1), None)
-    if a is None:
-        return False
-    e = (p - 1) // 10
-    y = pow(a, e, p)
-    y2 = y * y % p
-    if y2 * y2 * y % p != p - 1:  # a prime meets Euler's criterion
-        return False
-    if math.gcd(y2 - 1, p) == 1:
-        return True
-    for a in TRIAL_LOOP_PRIMES:
-        z = pow(a, 2 * e, p)
-        if pow(z, 5, p) == 1 and math.gcd(z - 1, p) == 1:
-            return True
-    return False
 
 
 def _brent_cycle(n: int, c: int) -> int:

@@ -160,7 +160,8 @@ def constants_report() -> dict:
 
     All comparisons run in integer / rational arithmetic; the two digit
     checks pin the decimal size of the first window fully covered by the
-    composite route and of a representative scaled-up window bound.
+    paper's two-factor route m0 * p and of a representative scaled-up window
+    bound.
     """
     n30 = 1786 * 26669**6
     n47 = 1786 * (10**10 * 26669) ** 3

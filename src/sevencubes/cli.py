@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 non-representable input, failed certificate or
 table mismatch; 2 usage errors (malformed arguments); 3 requests that
-exceed a configured budget.
+exceed a configured budget; 141 (128 + SIGPIPE, as for a process that
+SIGPIPE ends) when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -371,6 +373,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # N may have any number of digits, also past the interpreter's default
+    # limit on int <-> str conversion
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly, with stdout on
+        # devnull so that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "certify":

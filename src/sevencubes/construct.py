@@ -43,8 +43,9 @@ from .arith import (
 # unused here: perfbench/tracing.py replaces construct.is_prime by name
 from .arith import is_prime  # noqa: F401
 from .modulus import (
+    LARGE_PRIME_FLOOR,
+    VALID_HI,
     AuxModulus,
-    composite_prime_bounds,
     iter_moduli_composite,
     iter_moduli_direct,
     modulus_valid,
@@ -53,7 +54,6 @@ from .modulus import (
 from .search import (
     EXCEPTIONS,
     SearchBudget,
-    SearchLimitError,
     exceptional_cube_tables,
     search_seven,
 )
@@ -81,8 +81,13 @@ IDENTITY_CONSTANT = 1402
 
 # candidate values examined per direct modulus scan
 DIRECT_SCAN_LIMIT = 500_000
-# candidate primes examined per composite modulus scan
+# candidates for the large prime examined per composite modulus scan
 PRIME_SCAN_LIMIT = 200_000
+# the composite route runs only above this: every window then lies above
+# 11 * LARGE_PRIME_FLOOR, so each steering residue gets a smooth part; a
+# smaller target, whose window lies deep inside the direct scan's range, is
+# spared steering_residues and the interval
+COMPOSITE_ROUTE_MIN = VALID_HI * (11 * LARGE_PRIME_FLOOR) ** 3
 
 # _sqrt_minus_two looks for a non-residue below this; for a prime modulus
 # the least one is far smaller, and the cap ends the search on a composite
@@ -395,11 +400,12 @@ class DecomposeConfig:
     """The budget of decompose(): `search_max_n`, the largest n0 the
     exhaustive seven-cube search accepts.
 
-    The identity route has fixed budgets instead: DIRECT_SCAN_LIMIT and
-    PRIME_SCAN_LIMIT candidates per modulus scan, moduli below
-    2**modulus.DIRECT_SCAN_BITS in the direct scan, and FIBER_BUDGET fibers
-    per modulus in the ternary step; a modulus whose residual exhausts the
-    fibers is skipped like one whose residual is excluded.
+    The identity route has fixed budgets instead: DIRECT_SCAN_LIMIT
+    candidates, all below 2**modulus.DIRECT_SCAN_BITS, per direct scan;
+    PRIME_SCAN_LIMIT values of the large prime l per composite scan (one
+    scan per steering residue); and FIBER_BUDGET fibers per modulus in the
+    ternary step.  A modulus whose residual exhausts the fibers is skipped
+    like one whose residual is excluded.
     """
 
     search_max_n: int = 10**8
@@ -496,11 +502,10 @@ class Trace:
 
 def _candidate_moduli(n: int) -> Iterator[AuxModulus]:
     """Moduli to try for n == 2 (mod 4): the direct window scan first
-    (smallest admissible value wins), then, once it runs dry, steered
-    composites p0 * prime when composite_prime_bounds(n) is not empty."""
+    (smallest admissible value wins), then, once it runs dry and n is above
+    COMPOSITE_ROUTE_MIN, steered smooth composites S * l."""
     yield from iter_moduli_direct(n, scan_limit=DIRECT_SCAN_LIMIT)
-    p_lo, p_hi = composite_prime_bounds(n)
-    if p_lo <= p_hi:
+    if n > COMPOSITE_ROUTE_MIN:
         for b in steering_residues(n).candidates:
             yield from iter_moduli_composite(n, b, scan_limit=PRIME_SCAN_LIMIT)
 
@@ -596,13 +601,13 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
             trace.recheck()
             return trace
 
-    budget = SearchBudget(max_n=cfg.search_max_n)
-    try:
-        found = search_seven(n0, budget)
-    except SearchLimitError as exc:
+    if n0 > cfg.search_max_n:
         raise OutOfScopeError(
-            f"no constructive route for {n} and {n0} exceeds the search budget"
-        ) from exc
+            # n itself is left out: past 4300 digits it may not convert to str
+            f"no constructive route, and n0 = n / 125**{e} exceeds the search"
+            f" budget {cfg.search_max_n}"
+        )
+    found = search_seven(n0, SearchBudget(max_n=cfg.search_max_n))
     if found is None:  # complete search: a genuine non-representable value
         raise NotRepresentableError(f"{n} is not a sum of seven nonnegative cubes")
     trace = Trace(

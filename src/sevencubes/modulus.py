@@ -12,10 +12,11 @@ input n = 2 (mod 4) the construction needs
                                           ternary form cannot represent)
 
 This module picks steering residues, scans the valid interval directly, and
-provides a two-factor route m = m0 * p through a precomputed window of base
-moduli, which avoids factoring anything large: p only needs a primality
-proof, and above the thirteen-base Miller-Rabin range p is taken from a
-progression in which Pocklington's theorem gives one cheaply.
+builds composite moduli m = S * l for targets the direct scan cannot reach:
+S is a product of small primes from the trial-division table and l one
+prime below 2**38, inside the deterministic Miller-Rabin range, so nothing
+large is factored or tested.  It also regenerates the covering window of
+base moduli (Table 2) for the tables and certificates.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .arith import (
     has_small_factor,
     integer_cbrt,
     is_prime,
-    pocklington_prime,
 )
 
 __all__ = [
     "DIRECT_SCAN_BITS",
+    "LARGE_PRIME_FLOOR",
     "VALID_LO",
     "VALID_HI",
     "AuxModulus",
@@ -314,9 +315,9 @@ def find_covering_window(
 
 @lru_cache(maxsize=None)
 def base_window_table() -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
-    """Base moduli for the two-factor route, regenerated from first
-    principles: the admissible moduli = 1 (mod 4) inside the covering
-    window, grouped by residue mod 25.
+    """Base moduli m0 of the paper's two-factor route m = m0 * p (Table 2),
+    regenerated from first principles: the admissible moduli = 1 (mod 4)
+    inside the covering window, grouped by residue mod 25.
 
     Returns ((residue, ((value, prime_factors), ...)), ...) with residues
     1..24 ascending and values ascending inside each class.
@@ -353,26 +354,15 @@ def table2_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- the two-factor route ----------------------------------------------------
+# -- the smooth composite route ---------------------------------------------
 
+# The large prime l of a composite-route modulus S * l is at least this: above
+# every trial prime, so the factors of S * l are distinct, and small enough
+# that is_prime proves l (the walk stays below 2**38, far below psi_13).
+LARGE_PRIME_FLOOR = 1 << 24
 
-def composite_prime_bounds(n: int) -> tuple[int, int]:
-    """Inclusive bounds [p_lo, p_hi] for the prime cofactor p such that
-    m0 * p is size-valid for every base modulus m0 in the window.
-
-    Endpoints are rounded inward with exact integer arithmetic; the range
-    is empty (p_lo > p_hi) when n is too small for this route.
-    """
-    w_lo, w_hi = window_bounds()
-    d_lo = VALID_HI * w_lo**3
-    p_lo = integer_cbrt(n // d_lo)
-    while d_lo * p_lo**3 <= n:
-        p_lo += 1
-    d_hi = VALID_LO * w_hi**3
-    p_hi = integer_cbrt(n // d_hi)
-    while p_hi > 0 and d_hi * p_hi**3 >= n:
-        p_hi -= 1
-    return max(p_lo, w_hi + 1), p_hi
+# the primes = 5 (mod 6) from 11 up to TRIAL_DIVISION_BOUND, ascending
+_SMOOTH_PRIMES = tuple(p for p in TRIAL_LOOP_PRIMES + TRIAL_PRIMES_5_MOD_6 if p % 6 == 5 and p > 5)
 
 
 def iter_moduli_composite(
@@ -381,52 +371,48 @@ def iter_moduli_composite(
     *,
     scan_limit: int | None = None,
 ):
-    """Moduli m = m0 * p with m0 from the base window and p prime, scanned
-    by ascending p.  Needs no factorization: p is proven prime, and m0
-    carries its factors.
+    """Moduli m = S * l with m = b (mod 25), scanned by ascending prime l.
+    Needs no factorization and no big primality test.
 
-    p runs over the class p = 5 (mod 6), p = n/2 (mod 4) inside the
-    conservative size interval; m0 is pinned by m0 = b * p**-1 (mod 25).
-    While p_hi is below PROBABLE_PRIME_THRESHOLD every p of the class is
-    tried and is_prime is a proof.  Once p_hi passes it, p also runs over
-    p = 1 (mod F) for F = 2 * 5**k, the least such F with F * F > p_hi: a
-    p with no factor up to 3000 is accepted only on a Pocklington
-    certificate, which costs about one modular exponentiation.  There
-    p = 1 (mod 25), so m0 = b (mod 25).
+    S is the product of the least primes = 5 (mod 6) from 11 upward, with 5
+    first when 5 | b, taken while S * p * LARGE_PRIME_FLOOR <= lo for the
+    size interval [lo, hi] of n.  l runs through [lo / S, hi / S] in the
+    one class mod 300 (mod 60 when 5 | b) with l = 5 (mod 6),
+    S * l = n/2 (mod 4) and S * l = b (mod 25), and counts when is_prime
+    accepts it.  Every l lies in [2**24, 2**38): above every prime of S, and
+    below psi_13, where is_prime is deterministic, so every factor is proven.
+
+    Yields nothing when the first prime of S does not fit (lo below
+    p * 2**24, p = 11, or 5 when 5 | b) and, the declared edge, when the
+    primes up to TRIAL_DIVISION_BOUND run out before l gets that small
+    (n above about 10**6500).  At most `scan_limit` values of l are examined.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")
-    if residue_mod25 % 25 == 0:
+    b = residue_mod25 % 25
+    if b == 0:
         raise ValueError("steering residue must be nonzero mod 25")
-    p_lo, p_hi = composite_prime_bounds(n)
-    if p_lo > p_hi:
-        return
-    r4 = (n // 2) % 4
-    target = 5 if 5 % 4 == r4 else 11  # the class mod 12 with p = 5 (mod 6)
-    table = dict(base_window_table())
-    pocklington = p_hi > PROBABLE_PRIME_THRESHOLD
-    if pocklington:
-        f, k = 2, 0
-        while f * f <= p_hi:
-            f, k = 5 * f, k + 1
-        step = 6 * f
-        start = crt([(1, f // 2), (target, 12)])
+    lo, hi = modulus_interval(n)
+    five = b % 5 == 0
+    primes: list[int] = []
+    s = 1
+    for p in ((5,) if five else ()) + _SMOOTH_PRIMES:
+        if s * p * LARGE_PRIME_FLOOR > lo:
+            break
+        primes.append(p)
+        s *= p
     else:
-        step, start = 12, target
-    first = p_lo + (start - p_lo) % step
-    examined = 0
-    for p in range(first, p_hi + 1, step):
-        if scan_limit is not None and examined >= scan_limit:
-            return
-        examined += 1
-        if pocklington:
-            if has_small_factor(p) or not pocklington_prime(p, k):
-                continue
-        elif not is_prime(p):
-            continue
-        row = residue_mod25 * pow(p, -1, 25) % 25
-        for m0, m0_factors in table[row]:
-            m = m0 * p
-            if not modulus_valid(n, m):
-                raise AssertionError("conservative prime bounds admitted an invalid modulus")
-            yield AuxModulus(m, tuple(sorted(m0_factors + (p,))))
+        return  # every trial prime fits: nothing bounds l below psi_13
+    if not primes:
+        return
+    if five:
+        step, r5 = 60, (b // 5 * pow(s // 5, -1, 5), 5)
+    else:
+        step, r5 = 300, (b * pow(s, -1, 25), 25)
+    start = crt([(2, 3), ((n // 2) * s % 4, 4), r5])  # s is its own inverse mod 4
+    l_lo = -(-lo // s)
+    first = l_lo + (start - l_lo) % step
+    factors = tuple(primes)
+    for ell in range(first, hi // s + 1, step)[:scan_limit]:
+        if not has_small_factor(ell) and is_prime(ell):
+            yield AuxModulus(s * ell, factors + (ell,))

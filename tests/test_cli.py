@@ -231,13 +231,17 @@ SELFTEST_SHA256 = "826fbbd2958f6f686f7bc176c7463366c9bae765b91aebcef173f79d2df1b
 CERTIFY_ALL_SHA256 = "5b4f9a46b0ec8a4645dea4215910f6d59f08ce9464e11d581292c53462692f93"
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(sevencubes.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def _interpreter(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter run that imports this checkout's package."""
-    src = str(Path(sevencubes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, timeout=120,
+        [sys.executable, *args], env=_env(), capture_output=True, timeout=120,
     )
 
 
@@ -293,6 +297,35 @@ def test_decompose_command_never_imports_certify():
         "print('sevencubes.certify' in sys.modules)\n"
     )
     assert _python("-c", code).splitlines()[-1] == b"False"
+
+
+def test_decompose_into_a_closed_pipe_ends_quietly():
+    # the reader takes 100 bytes and closes its end while the writer is still
+    # blocked: the pipe holds one page and the trace of a 1000-digit target
+    # is about 10 kB, so the write fails however the two processes interleave
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs F_SETPIPE_SZ to shrink the pipe")
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    argv = ["-m", "sevencubes", "decompose", str(10**999 + 2), "--trace"]
+    proc = subprocess.Popen([sys.executable, *argv], env=_env(), stdout=w,
+                            stderr=subprocess.PIPE)
+    os.close(w)
+    with os.fdopen(r, "rb") as reader:
+        head = reader.read(100)
+    _, err = proc.communicate(timeout=120)
+    assert len(head) == 100
+    assert b"Traceback" not in err and err == b""
+    assert proc.returncode == 141
+
+
+def test_decompose_above_the_composite_edge_exits_3():
+    # 7000 digits: past the interpreter's default int <-> str limit, which the
+    # CLI lifts, and past the composite route's edge near 10**6500
+    proc = _interpreter("-m", "sevencubes", "decompose", "1" + "0" * 6998 + "2")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"error: no constructive route")
 
 
 @pytest.mark.parametrize("argv", [

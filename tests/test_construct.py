@@ -7,6 +7,9 @@ against a brute-force three-square scan.
 
 import hashlib
 import json
+import random
+import sys
+import time
 from dataclasses import replace
 from math import isqrt
 
@@ -35,7 +38,7 @@ from sevencubes.construct import (
     residual_quotient,
     verify,
 )
-from sevencubes.modulus import AuxModulus, modulus_interval
+from sevencubes.modulus import AuxModulus, modulus_interval, steering_residues
 from sevencubes.arith import primes_upto
 
 P5 = AuxModulus(5, (5,))
@@ -280,28 +283,24 @@ def test_decompose_300_digit_record_pinned():
     tr = decompose(10**299 + 6)
     record = tr.to_record()
     assert record["branch"] == "construction" and record["verified"] is True
-    # the composite route's prime comes from the progression p = 1 (mod F),
-    # F = 2 * 5**67 with F * F > p, which Pocklington's theorem proves prime
-    m0, p = record["p_factors"]
-    assert m0 == 26177
-    assert p == int(
-        "146347054103291644879286825974339571791675010990296888074846393124"
-        "06216049566864967346191406251"
-    )
-    f = 2 * 5**67
-    assert p % f == 1 and f * f > p
+    # the composite route's modulus S * l: S the least primes = 5 (mod 6)
+    # from 11 that leave l >= 2**24, l the least prime of its class mod 300
+    *smooth, ell = record["p_factors"]
+    assert smooth == [p for p in primes_upto(431) if p % 6 == 5 and p > 5]
+    assert ell == 6874720877
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
-    assert digest == "d4ed02aa8bdfb760a48736f4020f9463f5b3280715e55535261f8941b388880b"
+    assert digest == "b39bfaaba36118a572e7ba8a283a29191b048ba32d2d5bda22bd62114003f905"
 
 
 def test_probable_primes_lists_only_unproven_factors():
-    # the composite route proves its prime: nothing is probable, also when
-    # p_lo is just below the threshold and the prime found is above it
+    # composite-route traces list no probable prime: l < 2**38 is proven,
+    # also for a target whose window lies just past the direct scan's 2**96
     assert decompose(10**299 + 6).probable_primes == ()
     n = 1786 * 26141**3 * (arith.PROBABLE_PRIME_THRESHOLD - 50) ** 3 - 1
     n -= (n - 2) % 4
     tr = decompose(n)
-    assert tr.p_factors[-1] > arith.PROBABLE_PRIME_THRESHOLD and tr.probable_primes == ()
+    assert tr.p_value > 2**96 and tr.probable_primes == ()
+    assert tr.p_factors[-1] < arith.PROBABLE_PRIME_THRESHOLD
     # a direct-scan modulus, prime and in [3.3e24, 2**96): is_prime only
     # calls it a strong probable prime
     tr = decompose(10**82 + 2)
@@ -310,6 +309,68 @@ def test_probable_primes_lists_only_unproven_factors():
     assert arith.PROBABLE_PRIME_THRESHOLD < tr.p_value < 2**96
     # a direct-scan factor below the threshold is proven
     assert decompose(10**30 + 2).probable_primes == ()
+
+
+@pytest.mark.parametrize("v", [0, 1, 2], ids=["unit", "five", "twentyfive"])
+def test_decompose_composite_route_every_branch(v):
+    n = 10**299 + 6
+    while n % 5**v or n % 5 ** (v + 1) == 0:
+        n += 4
+    tr = decompose(n)
+    assert tr.branch == "construction" and tr.p_value > 2**96
+    assert tr.b in steering_residues(n).candidates
+    assert (tr.p_factors[0] == 5) == (v > 0)
+    assert tr.verified and tr.recheck()
+
+
+def test_decompose_2000_digits():
+    n = 4 * random.Random(2000).randrange(10**1999 // 4, 10**2000 // 4) + 2
+    tr = decompose(n)
+    assert tr.branch == "construction" and tr.probable_primes == ()
+    assert tr.verified and tr.recheck()
+
+
+def test_decompose_above_the_composite_edge_is_out_of_scope():
+    # past the product of the primes = 5 (mod 6) up to 10**4 times 2**24 the
+    # composite route yields nothing, and no route is left; nothing converts
+    # n to str, which the interpreter refuses past 4300 digits by default
+    n = 10**6999 + 2
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()  # the CLI lifts it to 0
+        sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(OutOfScopeError, match="no constructive route"):
+            decompose(n)
+        assert time.perf_counter() - start < 10
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_composite_route_gated_by_size(monkeypatch):
+    def refuse(n):
+        raise AssertionError("steering_residues called")
+
+    gate = construct.COMPOSITE_ROUTE_MIN
+    assert 1.1e28 < gate < 1.2e28
+    monkeypatch.setattr(construct, "steering_residues", refuse)
+    # just below the gate a target decomposes or falls to the search, which
+    # refuses it: both without steering
+    below = [gate - (gate - 2) % 4 - 4 * k for k in range(40)]
+    for n in below:
+        try:
+            assert decompose(n).verified
+        except OutOfScopeError:
+            pass
+    # with the direct scan emptied, the gate alone decides
+    monkeypatch.setattr(construct, "iter_moduli_direct", lambda n, scan_limit: iter(()))
+    with pytest.raises(OutOfScopeError):
+        decompose(below[0])
+    above = gate + 2 - gate % 4 + 4
+    with pytest.raises(AssertionError, match="steering_residues called"):
+        decompose(above)
 
 
 def test_binary_part_shapes():

@@ -7,7 +7,8 @@ the module under test must reproduce both exactly.
 
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from sevencubes import modulus
 from sevencubes.arith import PROBABLE_PRIME_THRESHOLD, factorize, is_prime, primes_upto
 from sevencubes.modulus import (
+    LARGE_PRIME_FLOOR,
     VALID_HI,
     VALID_LO,
     WINDOW_RATIO_CAP,
@@ -24,7 +26,6 @@ from sevencubes.modulus import (
     NoWindowError,
     admissible_factors,
     base_window_table,
-    composite_prime_bounds,
     find_covering_window,
     iter_moduli_composite,
     iter_moduli_direct,
@@ -398,19 +399,6 @@ def test_table2_text_layout():
 # -- composite route ----------------------------------------------------------
 
 
-def test_composite_prime_bounds_conservative():
-    n = 10**30 + 2
-    p_lo, p_hi = composite_prime_bounds(n)
-    assert p_lo > 26669
-    w_lo, w_hi = window_bounds()
-    for p in (p_lo, p_hi):
-        assert VALID_HI * (w_lo * p) ** 3 > n
-        assert VALID_LO * (w_hi * p) ** 3 < n
-    # one step outside fails at least one side for some window element
-    assert VALID_LO * (w_hi * (p_hi + 1)) ** 3 >= n
-    assert VALID_HI * (w_lo * (p_lo - 1)) ** 3 <= n
-
-
 def test_find_modulus_composite_all_residues():
     n = 10**30 + 2
     for b in range(1, 25):
@@ -422,62 +410,87 @@ def test_find_modulus_composite_all_residues():
 
 
 def test_iter_moduli_composite_structure():
-    n = 10**30 + 2
-    first = next(iter_moduli_composite(n, 4))
-    tail = first.primes[-1]
-    base = first.value // tail
-    assert base * tail == first.value
-    assert 26141 <= base <= 26669
+    # S = 11, as 11 * 17 * 2**24 is above lo, and l the least prime of its
+    # class in [lo / 11, hi / 11]
+    first = next(iter_moduli_composite(10**30 + 2, 4))
+    assert first == AuxModulus(824253529, (11, 74932139))
 
 
-def _pocklington_holds(p: int, f: int) -> bool:
-    """Pocklington's certificate for p with F = f = 2 * 5**k, from plain
-    pow and gcd: F | p - 1, F * F > p, and for q = 2 and q = 5 a base a
-    with a**(p-1) = 1 and gcd(a**((p-1)/q) - 1, p) = 1."""
-    return (
-        (p - 1) % f == 0
-        and f * f > p
-        and all(
-            any(
-                pow(a, p - 1, p) == 1 and gcd(pow(a, (p - 1) // q, p) - 1, p) == 1
-                for a in range(2, 200)
-            )
-            for q in (2, 5)
-        )
-    )
+def _five_adic(n: int, v: int) -> int:
+    """The least n' >= n with n' = 2 (mod 4) and 5-adic valuation exactly v:
+    v = 0, 1, 2 are the unit, five and twentyfive steering branches."""
+    n += (2 - n) % 4
+    while n % 5**v or n % 5 ** (v + 1) == 0:
+        n += 4
+    return n
 
 
-@pytest.mark.parametrize("n", [10**120 + 2, 10**200 + 6], ids=["1e120+2", "1e200+6"])
-def test_iter_moduli_composite_primes_are_pocklington_proven(n):
-    p_lo, p_hi = composite_prime_bounds(n)
-    assert p_lo > PROBABLE_PRIME_THRESHOLD
-    f = 2
-    while f * f <= p_hi:
-        f *= 5
-    # the first prime p = 1 (mod F) of the class mod 12, walked in steps of F
-    first = next(
-        p
-        for p in range(p_lo + (1 - p_lo) % f, p_hi + 1, f)
-        if p % 6 == 5 and p % 4 == (n // 2) % 4 and is_prime(p)
-    )
-    for b in range(1, 25):
-        m = next(iter_moduli_composite(n, b))
-        assert modulus_valid(n, m.value)
-        assert m.value % 25 == b and m.value % 4 == (n // 2) % 4
-        p = m.primes[-1]
-        assert p == first
-        assert _pocklington_holds(p, f), (b, p)
-        assert m.probable == ()
+_SMOOTH = [p for p in primes_upto(10_000) if p % 6 == 5 and p > 5]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [10**29 + 2, 10**120 + 2, 10**200 + 6, 10**299 + 6, 10**1999 + 2],
+    ids=["1e29+2", "1e120+2", "1e200+6", "1e299+6", "2000-digit"],
+)
+def test_iter_moduli_composite_smooth_modulus(n):
+    for v in (0, 1, 2):
+        target = _five_adic(n, v)
+        assert steering_residues(target).branch == ("unit", "five", "twentyfive")[v]
+        lo, hi = modulus_interval(target)
+        half = (target // 2) % 4
+        for b in range(1, 25):
+            m = next(iter_moduli_composite(target, b))
+            assert lo <= m.value <= hi and modulus_valid(target, m.value)
+            assert m.value % 25 == b and m.value % 4 == half
+            assert m.value == prod(m.primes) and m.probable == ()
+            *smooth, ell = m.primes
+            # the least primes = 5 (mod 6) from 11, 5 first iff 5 | b, as many
+            # as leave room for l >= 2**24
+            least = ([5] if b % 5 == 0 else []) + _SMOOTH
+            k = len(smooth)
+            assert smooth == least[:k]
+            assert prod(smooth) * LARGE_PRIME_FLOOR <= lo
+            assert prod(smooth) * least[k] * LARGE_PRIME_FLOOR > lo
+            assert 2**24 <= ell < PROBABLE_PRIME_THRESHOLD and is_prime(ell)
+            # l is the least prime that completes the congruences, walked by 1
+            s = prod(smooth)
+            assert ell == next(
+                x
+                for x in count(-(-lo // s))
+                if x % 6 == 5 and s * x % 4 == half and s * x % 25 == b and is_prime(x)
+            ), (v, b)
 
 
 def test_iter_moduli_composite_skips_an_uncertified_prime(monkeypatch):
     n = 10**120 + 2
-    first = next(iter_moduli_composite(n, 1)).primes[-1]
-    certify = modulus.pocklington_prime
-    monkeypatch.setattr(modulus, "pocklington_prime", lambda p, k: p != first and certify(p, k))
-    second = next(iter_moduli_composite(n, 1)).primes[-1]
-    assert second > first
-    assert next(iter_moduli_composite(n, 2)).primes[-1] == second
+    first = next(iter_moduli_composite(n, 1))
+    ell = first.primes[-1]
+    prove = modulus.is_prime
+    monkeypatch.setattr(modulus, "is_prime", lambda x: x != ell and prove(x))
+    second = next(iter_moduli_composite(n, 1))
+    # the same smooth part, and the next prime of the class mod 300
+    assert second.primes[:-1] == first.primes[:-1]
+    assert second.primes[-1] == next(x for x in count(ell + 300, 300) if prove(x))
+
+
+def _two_mod_four_at_least(n: int) -> int:
+    return n + (2 - n) % 4
+
+
+def test_iter_moduli_composite_yields_nothing_past_its_edges():
+    # above the edge, even the product of every smooth prime leaves l above
+    # 2**24 times the last of them
+    top = _two_mod_four_at_least(1786 * (5 * prod(_SMOOTH) * LARGE_PRIME_FLOOR * 2) ** 3)
+    # below 5 * 2**24 no smooth prime fits
+    bottom = _two_mod_four_at_least(1618 * (5 * LARGE_PRIME_FLOOR) ** 3)
+    for n in (top, bottom):
+        assert all(next(iter_moduli_composite(n, b), None) is None for b in range(1, 25))
+    # below 11 * 2**24 only 5 fits: 5 | b gets S = 5, a unit b nothing
+    n = _two_mod_four_at_least(1618 * (11 * LARGE_PRIME_FLOOR) ** 3)
+    for b in range(1, 25):
+        m = next(iter_moduli_composite(n, b), None)
+        assert (m is None) if b % 5 else (m.primes[0] == 5 and len(m.primes) == 2)
 
 
 def test_iter_moduli_direct_marks_probable_factors():
