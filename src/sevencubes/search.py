@@ -4,9 +4,11 @@ plus the frozen exception set for seven cubes and its stored decompositions.
 Two independent code paths answer "which n have no seven-cube sum":
 `exception_scan` builds the sums of seven cubes as a sumset on one integer
 bitset, while `search_seven` runs a complete backtracking descent pruned by
-exact tables of the sums of at most 1, 2, 3 cubes.  A None from
-`search_seven` is a proof of non-representability within the budget, not a
-timeout.
+exact tables of the sums of at most 1, 2, 3 cubes up to 2**17, with a
+byte-packed memo of the answers of its nodes with 4 and 5 slots below that
+window.  A None from `search_seven` is a proof of non-representability
+within the budget, not a timeout: each memo entry is the result of a
+complete descent from that node.
 """
 
 from __future__ import annotations
@@ -42,9 +44,25 @@ class SearchLimitError(Exception):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_n: int = 10**8  # largest n the descent will accept
-    window: int = 10**6  # size of the small-sum bitsets
+    """Limits of the exhaustive search: `max_n`, the largest n the descent
+    or the exception scan will accept.  Within it a None is a proof."""
 
+    max_n: int = 10**8
+
+
+# The pruning tables and the memo cover remainders up to this.  Over 5 000
+# descent targets below 4 * 10**6 the remainders entering nodes with 5 and
+# 4 slots never exceeded 13 037 and 8 301, and search_seven on [10**7,
+# 10**8] runs no slower than with a window of 10**6, whose tables took
+# 12 ms to build instead of 1.  search_cubes(n, 5) near 10**8 is slower:
+# the remainders of its 3-slot nodes lie above the window.
+_WINDOW = 2**17
+
+# Nodes with this many slots are memoized (for min_base == 0): over 200 000
+# descent targets, 12 465 distinct remainders at 4 and 5 slots answered
+# 304 970 node visits.
+_MEMO_SLOTS = (4, 5)
+_NO_SUM = 255  # memo byte: the remainder is no sum of that many cubes
 
 # _BIT_PLANES[j] maps a byte to its bit j, so one translate() reads bit j of
 # every byte of a bitset at once
@@ -64,9 +82,17 @@ def _byte_per_value(bits: int, n: int) -> bytearray:
 class _Tables:
     """Sums of at most 1, 2, 3 cubes up to `window`: small[1] is the
     frozenset of the cubes, small[2] and small[3] hold one byte per value.
-    The sums are built as integer bitsets, one shift per cube."""
+    The sums are built as integer bitsets, one shift per cube.
+
+    memo[s], for s in _MEMO_SLOTS (None below), is a bytearray of s bytes
+    per remainder r <= window, filled by search_cubes as it goes: bytes
+    s*r .. s*r + s - 1 hold the lexicographically largest nonincreasing
+    bases of s cubes summing to r, zero-padded; a first byte of 0 means not
+    yet known and _NO_SUM means r is no sum of s cubes.  Every base is at
+    most the cube root of window, below 255."""
 
     def __init__(self, window: int) -> None:
+        assert integer_cbrt(window) < _NO_SUM, "a memoized base must fit a byte"
         self.window = window
         cubes = [x * x * x for x in range(integer_cbrt(window) + 1)]
         mask = (1 << (window + 1)) - 1
@@ -85,11 +111,15 @@ class _Tables:
             _byte_per_value(two, window),
             _byte_per_value(three, window),
         )
+        self.memo = tuple(
+            bytearray(s * (window + 1)) if s in _MEMO_SLOTS else None
+            for s in range(max(_MEMO_SLOTS) + 1)
+        )
 
 
-@lru_cache(maxsize=4)
-def _tables(window: int) -> _Tables:
-    return _Tables(window)
+@lru_cache(maxsize=1)
+def _tables() -> _Tables:
+    return _Tables(_WINDOW)
 
 
 def search_cubes(
@@ -103,26 +133,37 @@ def search_cubes(
     as a nonincreasing tuple, or None if no such representation exists.
 
     The descent is complete: it enumerates nonincreasing base tuples and
-    prunes with exact tables, so None is a proof within the budget.
+    prunes with exact tables, so None is a proof within the budget.  The
+    answer is the lexicographically largest such tuple.  With min_base == 0
+    a node with 4 or 5 slots and a small remainder is answered from a memo
+    of earlier nodes; each entry is the result of a complete descent from
+    that node, so the answer and the proof are the same as without it.
     """
     bud = budget or SearchBudget()
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     if n > bud.max_n:
-        raise SearchLimitError(f"{n} exceeds the search budget {bud.max_n}")
-    window = bud.window
+        # n is left out: past 4300 digits it may not convert to str
+        raise SearchLimitError(
+            f"n of {n.bit_length()} bits exceeds the search budget {bud.max_n}"
+        )
     positive = min_base > 0
     lowest = max(min_base, 1)
     # prune[s]: the sums of at most s cubes up to window (a set for s = 1,
     # one byte per value for s = 2, 3), tested on the children of a node
-    # with s + 1 slots; None where the tables cannot prune (they allow zero
-    # bases, so they do not apply when min_base > 0)
-    prune = (None,) * (k + 1)
+    # with s + 1 slots; memo[s]: the memo of nodes with s slots.  None where
+    # they do not apply: both allow zero bases, so not when min_base > 0.
+    prune = memo = (None,) * (k + 1)
+    window = 0
     if not positive:
-        prune = (_tables(window).small + prune)[: k + 1]
+        tables = _tables()
+        window = tables.window
+        prune = (tables.small + prune)[: k + 1]
+        memo = (tables.memo + memo)[: k + 1]
     out: list[int] = []
 
     def rec(rem: int, slots: int, hi: int) -> bool:
+        """Append the largest bases of `slots` cubes <= hi summing to rem."""
         if rem == 0:
             return not positive or slots == 0
         if slots == 1:
@@ -131,6 +172,31 @@ def search_cubes(
                 out.append(x)
                 return True
             return False
+        table = memo[slots]
+        if table is None or rem > window:
+            return descend(rem, slots, hi)
+        at = rem * slots
+        first = table[at]
+        if not first:  # first visit: store the uncapped descent's answer
+            start = len(out)
+            if not descend(rem, slots, integer_cbrt(rem)):
+                table[at] = _NO_SUM
+                return False
+            first = out[start]
+            table[at : at + len(out) - start] = bytes(out[start:])
+            del out[start:]
+        if first == _NO_SUM:
+            return False
+        if first > hi:
+            # not reached from the root: a visited node's uncapped maximum
+            # never starts above its cap, since the parent would have taken
+            # that base first; should it, the loop searches under the cap
+            return descend(rem, slots, hi)
+        # the uncapped maximum is feasible, so it is the maximum under hi
+        out.extend(table[at : at + slots])
+        return True
+
+    def descend(rem: int, slots: int, hi: int) -> bool:
         below = prune[slots - 1]
         x = min(hi, integer_cbrt(rem))
         while x >= lowest:
@@ -168,7 +234,9 @@ def exception_scan(limit: int, budget: SearchBudget | None = None) -> list[int]:
     """
     bud = budget or SearchBudget()
     if limit > bud.max_n:
-        raise SearchLimitError(f"{limit} exceeds the search budget {bud.max_n}")
+        raise SearchLimitError(
+            f"a limit of {limit.bit_length()} bits exceeds the search budget {bud.max_n}"
+        )
     mask = (1 << (limit + 1)) - 1
     cubes = [x**3 for x in range(1, integer_cbrt(limit) + 1)]
     reach = 1  # after round r, bit i: i is a sum of at most r positive cubes

@@ -5,12 +5,16 @@ the frozen exception list is cross-checked against both the searcher and
 the independent sieve scan.
 """
 
+import gc
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevencubes import search
+from sevencubes.arith import integer_cbrt
 from sevencubes.search import (
     EXCEPTIONS,
     EXCEPTIONS_EVEN,
@@ -20,6 +24,7 @@ from sevencubes.search import (
     exceptional_cube_tables,
     exceptional_table_text,
     _Tables,
+    _tables,
     search_cubes,
     search_seven,
 )
@@ -90,15 +95,114 @@ def test_search_min_base_respected():
     assert sum(c**3 for c in got) == 2750
 
 
-def test_search_budget():
+@pytest.fixture
+def fresh_tables():
+    """A cold memo for the test, and none of its tables left behind."""
+    _tables.cache_clear()
+    yield
+    _tables.cache_clear()
+
+
+def test_search_budget(fresh_tables, monkeypatch):
     with pytest.raises(SearchLimitError):
         search_seven(10**9)
     with pytest.raises(SearchLimitError):
         search_cubes(5000, 7, budget=SearchBudget(max_n=1000))
-    # a tighter bitset window must not change answers, only speed
-    tight = SearchBudget(max_n=10**8, window=10**4)
-    assert search_cubes(454, 7, budget=tight) is None
-    assert search_cubes(456, 7, budget=tight) is not None
+    # a tighter table window must not change answers, only speed
+    sample = [*range(0, 2000), *range(2000, 4 * 10**6, 3989)]
+    full = [search_seven(n) for n in sample]
+    monkeypatch.setattr(search, "_WINDOW", 10**4)
+    _tables.cache_clear()
+    assert _tables().window == 10**4
+    assert [search_seven(n) for n in sample] == full
+    assert search_seven(454) is None
+    assert search_seven(456) is not None
+
+
+def test_search_limit_error_for_values_past_the_digit_limit():
+    # past 4300 digits a value may not convert to str: the messages leave it out
+    with pytest.raises(SearchLimitError, match="bits exceeds"):
+        search_seven(10**5000)
+    with pytest.raises(SearchLimitError, match="bits exceeds"):
+        exception_scan(10**5000)
+
+
+# -- the memo ----------------------------------------------------------------
+
+REF_WINDOW = 10**6
+
+
+@pytest.fixture(scope="module")
+def ref_small():
+    return _Tables(REF_WINDOW).small
+
+
+def reference_descent(n, k, small):
+    """search_cubes(n, k) without the memo: the lexicographically largest
+    nonincreasing k-tuple of cube bases summing to n, or None.  small[s]
+    holds the sums of at most s cubes up to REF_WINDOW, as in _Tables."""
+
+    def fits(v, s):  # False only where v is no sum of s cubes
+        if s == 0:
+            return v == 0
+        if s >= 4 or v > REF_WINDOW:
+            return True
+        return v in small[1] if s == 1 else bool(small[s][v])
+
+    bases = []
+
+    def rec(rem, slots, hi):
+        if rem == 0:
+            return True
+        x = min(hi, integer_cbrt(rem))
+        while x >= 1 and slots * x**3 >= rem:
+            nrem = rem - x**3
+            if fits(nrem, slots - 1) and rec(nrem, slots - 1, x):
+                bases.append(x)
+                return True
+            x -= 1
+        return False
+
+    if not rec(n, k, integer_cbrt(n)):
+        return None
+    return tuple(reversed(bases)) + (0,) * (k - len(bases))
+
+
+def test_memo_matches_reference_descent_cold_and_warm(fresh_tables, ref_small):
+    rng = random.Random(13)
+    targets = [rng.randint(2 * 10**5 + 1, 10**8) for _ in range(3000)]
+    want = {k: [reference_descent(n, k, ref_small) for n in targets] for k in (5, 6, 7)}
+    for _ in ("cold", "warm"):
+        for k in (5, 6, 7):
+            assert [search_cubes(n, k) for n in targets] == want[k], k
+    memo = _tables().memo
+    for slots in (4, 5):  # both kinds of entry were stored
+        firsts = set(memo[slots][::slots])
+        assert search._NO_SUM in firsts and firsts - {0, search._NO_SUM}
+
+
+def test_memo_entry_above_the_cap_yields_the_loops_answer(fresh_tables, ref_small):
+    # the descent never enters a node whose uncapped maximum starts above
+    # its cap, so the entry is planted: the root of search_cubes(n, 5) has
+    # the cap integer_cbrt(n), and the entry claims a larger first base
+    n = 2522  # 12**3 + 9**3 + 4**3 + 1**3
+    table = _tables().memo[5]
+    table[5 * n : 5 * n + 5] = bytes([integer_cbrt(n) + 1, 0, 0, 0, 0])
+    assert search_cubes(n, 5) == reference_descent(n, 5, ref_small) == (12, 9, 4, 1, 0)
+
+
+def test_memo_storage_is_bounded(fresh_tables):
+    tables = _tables()
+    search_seven(999_999)
+    sizes = [len(t) for t in tables.memo if t is not None]
+    assert sizes == [4 * (search._WINDOW + 1), 5 * (search._WINDOW + 1)]
+    rng = random.Random(29)
+    for _ in range(10_000):
+        assert search_seven(rng.randint(455, 10**8)) is not None
+    assert _tables() is tables
+    assert [len(t) for t in tables.memo if t is not None] == sizes
+    # no per-entry objects: nothing in the memo is tracked by the collector
+    assert not any(gc.is_tracked(t) for t in tables.memo)
 
 
 @pytest.mark.parametrize("window", [1, 7, 8, 9, 1000, 12345])
