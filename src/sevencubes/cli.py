@@ -177,7 +177,7 @@ def _gap_reports(args: argparse.Namespace) -> list[dict]:
     records = []
     which = args.which_set
     if which in ("primes", "both"):
-        bound = args.max_ratio or Fraction(1006, 1000)
+        bound = Fraction(1006, 1000) if args.max_ratio is None else args.max_ratio
         lo, hi = _gap_range(args, "primes")
         modulus = args.mod if args.mod is not None else 12
         residues = [args.res] if args.res is not None else [5, 11]
@@ -185,7 +185,7 @@ def _gap_reports(args: argparse.Namespace) -> list[dict]:
             cert = certify.prime_gap_certificate(residue, modulus, lo, hi, bound=bound)
             records.append(cert.to_record())
     if which in ("admissible", "both"):
-        bound = args.max_ratio or Fraction(26669, 26141)
+        bound = Fraction(26669, 26141) if args.max_ratio is None else args.max_ratio
         lo, hi = _gap_range(args, "admissible")
         classes = (
             [args.res]

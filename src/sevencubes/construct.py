@@ -31,6 +31,7 @@ exceptions are routed to the exhaustive search / stored tables instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator, NamedTuple
 
@@ -388,11 +389,10 @@ def assemble_cubes(
 def verify(cubes, n: int) -> bool:
     """True when `cubes` is a sequence of 7 nonnegative ints summing (cubed) to n."""
     cubes = tuple(cubes)
-    return (
-        len(cubes) == 7
-        and all(isinstance(c, int) and c >= 0 for c in cubes)
-        and sum(c**3 for c in cubes) == n
-    )
+    if len(cubes) != 7 or not all(isinstance(c, int) and c >= 0 for c in cubes):
+        return False
+    a, b, c, d, e, f, g = cubes  # unrolled: cheaper than a generator
+    return a**3 + b**3 + c**3 + d**3 + e**3 + f**3 + g**3 == n
 
 
 @dataclass(frozen=True)
@@ -409,6 +409,15 @@ class DecomposeConfig:
     """
 
     search_max_n: int = 10**8
+
+
+_DEFAULT_CONFIG = DecomposeConfig()
+
+
+@lru_cache(maxsize=8)
+def _search_budget(max_n: int) -> SearchBudget:
+    """The search budget of a DecomposeConfig, built once per value."""
+    return SearchBudget(max_n=max_n)
 
 
 @dataclass
@@ -556,7 +565,7 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
     NotRepresentableError for the 17 true exceptions, OutOfScopeError when
     only the exhaustive search applies and n0 exceeds its budget.
     """
-    cfg = config or DecomposeConfig()
+    cfg = config or _DEFAULT_CONFIG
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("n must be an int")
     if n < 0:
@@ -588,16 +597,16 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
         return trace
 
     if n0 % 4 == 2:
-        inner = _construct(n0)
-        if inner is not None:
-            trace = replace(
-                inner,
-                n=n,
-                n0=n0,
-                e=e,
-                branch="scaled" if e else "construction",
-                cubes=tuple(c * scale for c in inner.cubes),
-            )
+        trace = _construct(n0)
+        if trace is not None:
+            if e:
+                trace = replace(
+                    trace,
+                    n=n,
+                    e=e,
+                    branch="scaled",
+                    cubes=tuple(c * scale for c in trace.cubes),
+                )
             trace.recheck()
             return trace
 
@@ -607,7 +616,7 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
             f"no constructive route, and n0 = n / 125**{e} exceeds the search"
             f" budget {cfg.search_max_n}"
         )
-    found = search_seven(n0, SearchBudget(max_n=cfg.search_max_n))
+    found = search_seven(n0, _search_budget(cfg.search_max_n))
     if found is None:  # complete search: a genuine non-representable value
         raise NotRepresentableError(f"{n} is not a sum of seven nonnegative cubes")
     trace = Trace(
@@ -615,7 +624,7 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
         n0=n0,
         e=e,
         branch="scaled" if e else "fallback",
-        cubes=tuple(c * scale for c in found),
+        cubes=tuple(c * scale for c in found) if e else found,
     )
     trace.recheck()
     return trace

@@ -5,10 +5,12 @@ Two independent code paths answer "which n have no seven-cube sum":
 `exception_scan` builds the sums of seven cubes as a sumset on one integer
 bitset, while `search_seven` runs a complete backtracking descent pruned by
 exact tables of the sums of at most 1, 2, 3 cubes up to 2**17, with a
-byte-packed memo of the answers of its nodes with 4 and 5 slots below that
-window.  A None from `search_seven` is a proof of non-representability
-within the budget, not a timeout: each memo entry is the result of a
-complete descent from that node.
+byte-packed memo of the answers of its nodes with 4, 5 and 6 slots below
+that window.  Below 209**3 the remainder left by the root's first base lies
+inside the window, so a warm seven-cube search is one cube root, one memo
+probe and one slice.  A None from `search_seven` is a proof of
+non-representability within the budget, not a timeout: each memo entry is
+the result of a complete descent from that node.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class SearchBudget:
     max_n: int = 10**8
 
 
+_DEFAULT_BUDGET = SearchBudget()
+
 # The pruning tables and the memo cover remainders up to this.  Over 5 000
 # descent targets below 4 * 10**6 the remainders entering nodes with 5 and
 # 4 slots never exceeded 13 037 and 8 301, and search_seven on [10**7,
@@ -60,13 +64,18 @@ _WINDOW = 2**17
 
 # Nodes with this many slots are memoized (for min_base == 0): over 200 000
 # descent targets, 12 465 distinct remainders at 4 and 5 slots answered
-# 304 970 node visits.
-_MEMO_SLOTS = (4, 5)
+# 304 970 node visits.  The 6-slot memo takes the root's children: it held
+# 32.5k, 47.0k and 63.9k entries after 50k, 100k and 300k descent targets
+# below 4 * 10**6, for 6 * (2**17 + 1) bytes.
+_MEMO_SLOTS = (4, 5, 6)
 _NO_SUM = 255  # memo byte: the remainder is no sum of that many cubes
 
 # _BIT_PLANES[j] maps a byte to its bit j, so one translate() reads bit j of
 # every byte of a bitset at once
 _BIT_PLANES = tuple(bytes((v >> j) & 1 for v in range(256)) for j in range(8))
+
+# prune and memo of search_cubes padded past their last table, for k < 8
+_PAD = (None,) * 8
 
 
 def _byte_per_value(bits: int, n: int) -> bytearray:
@@ -135,11 +144,11 @@ def search_cubes(
     The descent is complete: it enumerates nonincreasing base tuples and
     prunes with exact tables, so None is a proof within the budget.  The
     answer is the lexicographically largest such tuple.  With min_base == 0
-    a node with 4 or 5 slots and a small remainder is answered from a memo
+    a node with 4, 5 or 6 slots and a small remainder is answered from a memo
     of earlier nodes; each entry is the result of a complete descent from
     that node, so the answer and the proof are the same as without it.
     """
-    bud = budget or SearchBudget()
+    bud = budget or _DEFAULT_BUDGET
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     if n > bud.max_n:
@@ -153,13 +162,13 @@ def search_cubes(
     # one byte per value for s = 2, 3), tested on the children of a node
     # with s + 1 slots; memo[s]: the memo of nodes with s slots.  None where
     # they do not apply: both allow zero bases, so not when min_base > 0.
-    prune = memo = (None,) * (k + 1)
+    prune = memo = _PAD if k < len(_PAD) else (None,) * (k + 1)
     window = 0
     if not positive:
         tables = _tables()
         window = tables.window
-        prune = (tables.small + prune)[: k + 1]
-        memo = (tables.memo + memo)[: k + 1]
+        prune = tables.small + prune
+        memo = tables.memo + memo
     out: list[int] = []
 
     def rec(rem: int, slots: int, hi: int) -> bool:
@@ -198,7 +207,9 @@ def search_cubes(
 
     def descend(rem: int, slots: int, hi: int) -> bool:
         below = prune[slots - 1]
-        x = min(hi, integer_cbrt(rem))
+        # min(hi, integer_cbrt(rem)), with no cube root where hi binds: at
+        # the root, hi is the cube root
+        x = hi if hi * hi * hi <= rem else integer_cbrt(rem)
         while x >= lowest:
             cube = x * x * x
             if cube * slots < rem:
@@ -216,8 +227,8 @@ def search_cubes(
 
     if not rec(n, k, integer_cbrt(n)):
         return None
+    assert sum(c * c * c for c in out) == n
     result = tuple(out) + (0,) * (k - len(out))
-    assert sum(c**3 for c in result) == n
     return result
 
 
@@ -232,7 +243,7 @@ def exception_scan(limit: int, budget: SearchBudget | None = None) -> list[int]:
     Uses a layered reachability bitset (seven rounds of 'add one cube'),
     independent of the backtracking path in search_seven.
     """
-    bud = budget or SearchBudget()
+    bud = budget or _DEFAULT_BUDGET
     if limit > bud.max_n:
         raise SearchLimitError(
             f"a limit of {limit.bit_length()} bits exceeds the search budget {bud.max_n}"

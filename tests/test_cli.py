@@ -179,6 +179,15 @@ def test_certify_gap_failing_bound(capsys):
     (cert,) = json.loads(out)["gaps"]
     assert cert["satisfied"] is False
 
+    # a zero ratio is a given bound, not the default one: no gap meets it
+    code, out, _ = run(
+        capsys, "certify", "gaps", "--max-ratio", "0/5", "--lo", "26669", "--hi", "30000",
+    )
+    assert code == 1
+    certs = json.loads(out)["gaps"]
+    assert certs and all(c["bound"] == [0, 1] for c in certs)
+    assert not any(c["satisfied"] for c in certs)
+
 
 def test_certify_admissible_demo(capsys):
     # large-gap demonstration: ratio 96037/92437 sits between the two bounds

@@ -505,6 +505,17 @@ def test_decompose_midrange_fallback():
     assert tr.verified
 
 
+def test_decompose_records_across_the_memo_edge_pinned():
+    # 209**3 = 9 129 329 lies inside: below it the search answers from its
+    # 6-slot memo, above it the root's remainders leave the memo window
+    digest = hashlib.sha256()
+    for n in range(9_000_001, 9_200_001, 7):
+        digest.update(json.dumps(decompose(n).to_record()).encode())
+    assert digest.hexdigest() == (
+        "16be14767e32301931adced8967394e50de19bf3db77647cf925b964b16f768d"
+    )
+
+
 def test_decompose_out_of_scope():
     # window between direct and composite coverage, beyond search budget
     with pytest.raises(OutOfScopeError):

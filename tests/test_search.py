@@ -171,31 +171,39 @@ def reference_descent(n, k, small):
 def test_memo_matches_reference_descent_cold_and_warm(fresh_tables, ref_small):
     rng = random.Random(13)
     targets = [rng.randint(2 * 10**5 + 1, 10**8) for _ in range(3000)]
+    # below 209**3 the root's first remainder lies in the memo window, above
+    # it need not: targets on both sides of that edge, for k = 6 and 7
+    edge = 209**3
+    near = [rng.randint(edge - 2 * 10**5, edge + 2 * 10**5) for _ in range(1000)]
     want = {k: [reference_descent(n, k, ref_small) for n in targets] for k in (5, 6, 7)}
+    want_near = {k: [reference_descent(n, k, ref_small) for n in near] for k in (6, 7)}
     for _ in ("cold", "warm"):
         for k in (5, 6, 7):
             assert [search_cubes(n, k) for n in targets] == want[k], k
+        for k in (6, 7):
+            assert [search_cubes(n, k) for n in near] == want_near[k], k
     memo = _tables().memo
-    for slots in (4, 5):  # both kinds of entry were stored
+    for slots in search._MEMO_SLOTS:  # both kinds of entry were stored
         firsts = set(memo[slots][::slots])
         assert search._NO_SUM in firsts and firsts - {0, search._NO_SUM}
 
 
 def test_memo_entry_above_the_cap_yields_the_loops_answer(fresh_tables, ref_small):
     # the descent never enters a node whose uncapped maximum starts above
-    # its cap, so the entry is planted: the root of search_cubes(n, 5) has
-    # the cap integer_cbrt(n), and the entry claims a larger first base
-    n = 2522  # 12**3 + 9**3 + 4**3 + 1**3
-    table = _tables().memo[5]
-    table[5 * n : 5 * n + 5] = bytes([integer_cbrt(n) + 1, 0, 0, 0, 0])
-    assert search_cubes(n, 5) == reference_descent(n, 5, ref_small) == (12, 9, 4, 1, 0)
+    # its cap, so the entry is planted: the root of search_cubes(n, slots)
+    # has the cap integer_cbrt(n), and the entry claims a larger first base
+    n = 2522
+    for slots, want in ((5, (12, 9, 4, 1, 0)), (6, (13, 5, 4, 4, 4, 2))):
+        table = _tables().memo[slots]
+        table[slots * n : slots * (n + 1)] = bytes([integer_cbrt(n) + 1] + [0] * (slots - 1))
+        assert search_cubes(n, slots) == reference_descent(n, slots, ref_small) == want
 
 
 def test_memo_storage_is_bounded(fresh_tables):
     tables = _tables()
     search_seven(999_999)
     sizes = [len(t) for t in tables.memo if t is not None]
-    assert sizes == [4 * (search._WINDOW + 1), 5 * (search._WINDOW + 1)]
+    assert sizes == [s * (search._WINDOW + 1) for s in (4, 5, 6)]
     rng = random.Random(29)
     for _ in range(10_000):
         assert search_seven(rng.randint(455, 10**8)) is not None
