@@ -15,7 +15,6 @@ from itertools import compress, count
 from typing import Iterable, Sequence
 
 __all__ = [
-    "PROBABLE_PRIME_THRESHOLD",
     "TRIAL_DIVISION_BOUND",
     "TRIAL_LOOP_PRIMES",
     "TRIAL_PRIMES_5_MOD_6",
@@ -35,18 +34,13 @@ __all__ = [
 ]
 
 
-# The first 13 prime bases decide primality for everything below this bound
-# (the smallest composite passing all of them is the bound itself).  Above it
-# a "prime" verdict is a strong probable-prime result, not a deterministic
-# one; callers surface such primes with a "probable" flag.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PROBABLE_PRIME_THRESHOLD = 3_317_044_064_679_887_385_961_981
 
 # psi_k, the smallest strong pseudoprime to the first k of _MR_BASES
 # (Jaeschke 1993 for k <= 8, Jiang and Deng 2014 for k = 9..11, Sorenson and
 # Webster 2015 for k = 12, 13): an n that passes the first k bases and is
-# below psi_k is prime, so is_prime stops there.  psi_13 is
-# PROBABLE_PRIME_THRESHOLD.
+# below psi_k is prime, so is_prime stops there.  psi_13 (about 3.3e24) bounds
+# the range where the 13 bases decide primality; is_prime refuses n from it.
 _MR_PSI = (
     2_047,
     1_373_653,
@@ -60,7 +54,7 @@ _MR_PSI = (
     3_825_123_056_546_413_051,
     3_825_123_056_546_413_051,
     318_665_857_834_031_151_167_461,
-    PROBABLE_PRIME_THRESHOLD,
+    3_317_044_064_679_887_385_961_981,
 )
 
 # modulus.admissible_factors trial-divides by the primes up to this bound, by a
@@ -151,57 +145,16 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas probable-prime test with the standard parameter search
-    D = 5, -7, 9, -11, ... until (D|n) = -1, P = 1, Q = (1-D)/4."""
-    r = math.isqrt(n)
-    if r * r == n:
-        return False
-    d = 5
-    while True:
-        j = jacobi(d % n, n)
-        if j == -1:
-            break
-        if j == 0 and abs(d) % n != 0:
-            return False
-        d = -(d + 2) if d > 0 else -(d - 2)
-    q = (1 - d) // 4
-
-    # n + 1 = k * 2**s with k odd
-    k = n + 1
-    s = (k & -k).bit_length() - 1
-    k >>= s
-
-    inv2 = (n + 1) >> 1
-    u, v, qm = 1, 1, q % n  # U_1, V_1, Q^1
-    for bit in bin(k)[3:]:
-        # index doubling: U_2m = U V, V_2m = V^2 - 2 Q^m
-        u, v = u * v % n, (v * v - 2 * qm) % n
-        qm = qm * qm % n
-        if bit == "1":
-            # index +1: U' = (U + V)/2, V' = (D U + V)/2
-            u, v = (u + v) * inv2 % n, (d * u + v) * inv2 % n
-            qm = qm * q % n
-    if u == 0 or v == 0:
-        return True
-    for _ in range(s - 1):
-        v = (v * v - 2 * qm) % n
-        if v == 0:
-            return True
-        qm = qm * qm % n
-    return False
-
-
 def is_prime(n: int) -> bool:
-    """Primality test.
+    """Deterministic primality test for n below psi_13 (about 3.3e24).
 
-    Deterministic for n below PROBABLE_PRIME_THRESHOLD, the thirteen-base
-    Miller-Rabin bound (about 3.3e24): Miller-Rabin stops after the first k
-    bases once n is below psi_k, the smallest strong pseudoprime to them, so
-    a prime below 2.5e7 takes 3 bases and one below 2**64 at most 12.  Above
-    the threshold this is a strong probable-prime test (Miller-Rabin on all
-    13 bases plus a strong Lucas test).  No known composite passes.
+    Miller-Rabin stops after the first k bases once n is below psi_k, the
+    smallest strong pseudoprime to them, so a prime below 2.5e7 takes 3 bases
+    and one below 2**64 at most 12.  Raises ValueError for n >= psi_13, where
+    the 13 bases prove nothing.
     """
+    if n >= _MR_PSI[-1]:
+        raise ValueError(f"is_prime requires n < psi_13 = {_MR_PSI[-1]}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -218,8 +171,8 @@ def is_prime(n: int) -> bool:
         if _mr_witness(n, a, d, s):
             return False
         if n < psi:
-            return True
-    return _strong_lucas_prp(n)
+            break
+    return True
 
 
 def _brent_cycle(n: int, c: int) -> int:
@@ -276,13 +229,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Full factorization of n as a sorted list of (prime, exponent).
 
     Precondition: n >= 1 has no prime factor up to TRIAL_DIVISION_BOUND, as
-    the cofactor modulus.admissible_factors leaves after its trial division.
-    Pollard rho splits n until every part passes is_prime.  Raises
-    ValueError on an input that breaks the precondition.
+    the cofactor modulus.admissible_factors leaves after its trial division,
+    and n < psi_13, so is_prime proves every part.  Pollard rho splits n
+    until every part passes is_prime.  Raises ValueError on an input that
+    breaks the precondition.
     """
-    if n < 1 or math.gcd(n, _TRIAL_PRODUCT) != 1:
+    if n < 1 or n >= _MR_PSI[-1] or math.gcd(n, _TRIAL_PRODUCT) != 1:
         raise ValueError(
-            f"factorize requires n >= 1 with no prime factor up to {TRIAL_DIVISION_BOUND}"
+            f"factorize requires 1 <= n < psi_13 with no prime factor up to"
+            f" {TRIAL_DIVISION_BOUND}"
         )
     counts: dict[int, int] = {}
     stack = [n] if n > 1 else []

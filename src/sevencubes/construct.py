@@ -30,7 +30,7 @@ exceptions are routed to the exhaustive search / stored tables instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isqrt
 from typing import Iterator, NamedTuple
@@ -387,9 +387,12 @@ def assemble_cubes(
 
 
 def verify(cubes, n: int) -> bool:
-    """True when `cubes` is a sequence of 7 nonnegative ints summing (cubed) to n."""
+    """True when `cubes` is a sequence of 7 nonnegative ints summing (cubed) to
+    n, an int; bools count as neither."""
     cubes = tuple(cubes)
-    if len(cubes) != 7 or not all(isinstance(c, int) and c >= 0 for c in cubes):
+    if type(n) is bool or len(cubes) != 7 or not all(
+        type(c) is int and c >= 0 for c in cubes
+    ):
         return False
     a, b, c, d, e, f, g = cubes  # unrolled: cheaper than a generator
     return a**3 + b**3 + c**3 + d**3 + e**3 + f**3 + g**3 == n
@@ -401,11 +404,12 @@ class DecomposeConfig:
     exhaustive seven-cube search accepts.
 
     The identity route has fixed budgets instead: DIRECT_SCAN_LIMIT
-    candidates, all below 2**modulus.DIRECT_SCAN_BITS, per direct scan;
-    PRIME_SCAN_LIMIT values of the large prime l per composite scan (one
-    scan per steering residue); and FIBER_BUDGET fibers per modulus in the
-    ternary step.  A modulus whose residual exhausts the fibers is skipped
-    like one whose residual is excluded.
+    candidates, all below 2**modulus.DIRECT_SCAN_BITS (under psi_13, so
+    every factor is proven), per direct scan; PRIME_SCAN_LIMIT values of the
+    large prime l per composite scan (one scan per steering residue); and
+    FIBER_BUDGET fibers per modulus in the ternary step.  A modulus whose
+    residual exhausts the fibers is skipped like one whose residual is
+    excluded.
     """
 
     search_max_n: int = 10**8
@@ -427,10 +431,9 @@ class Trace:
     `branch` is "construction" (identity route on n itself), "fallback"
     (exhaustive search or stored exceptional tables), or "scaled" (any route
     applied to n0 < n and scaled by a power of 5).  Construction-specific
-    fields are None on the other branches.  `probable_primes` lists the
-    modulus factors that only a probable-prime test accepted: direct-scan
-    factors above the deterministic primality threshold, while the composite
-    route's primes are proven (never serialised).
+    fields are None on the other branches.  Every factor in `p_factors` was
+    proven prime when the modulus was found; recheck() needs no primality
+    test.
     """
 
     n: int
@@ -447,7 +450,6 @@ class Trace:
     x2: int | None = None
     x3: int | None = None
     verified: bool = False
-    probable_primes: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def recheck(self) -> bool:
         """Re-derive `verified` from the recorded fields alone.
@@ -551,7 +553,6 @@ def _construct(n: int) -> Trace | None:
             x1=rep.x1,
             x2=2 * rep.y,
             x3=rep.x3,
-            probable_primes=modulus.probable,
         )
     return None
 

@@ -11,12 +11,14 @@ input n = 2 (mod 4) the construction needs
       residue b                          (so q dodges the classes the
                                           ternary form cannot represent)
 
-This module picks steering residues, scans the valid interval directly, and
-builds composite moduli m = S * l for targets the direct scan cannot reach:
-S is a product of small primes from the trial-division table and l one
-prime below 2**38, inside the deterministic Miller-Rabin range, so nothing
-large is factored or tested.  It also regenerates the covering window of
-base moduli (Table 2) for the tables and certificates.
+This module picks steering residues, scans the valid interval directly
+below 2**81, and builds composite moduli m = S * l for targets the direct
+scan cannot reach: S is a product of small primes from the trial-division
+table and l one prime below 2**38, so nothing large is factored or tested.
+Every prime factor of every modulus is proven: all lie below psi_13 (about
+3.3e24), where is_prime's Miller-Rabin bases are deterministic.  It also
+regenerates the covering window of base moduli (Table 2) for the tables and
+certificates.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from itertools import count
 from math import gcd
 
 from .arith import (
-    PROBABLE_PRIME_THRESHOLD,
     TRIAL_DIVISION_BOUND,
     TRIAL_LOOP_PRIMES,
     TRIAL_PRIMES_5_MOD_6,
@@ -74,8 +75,10 @@ _IDENTITY_CONSTANT = 1402  # = 2 * (4**3 + 5**3 + 8**3), see construct.py
 _UNTRIED_SQUARE = next(p for p in count(TRIAL_DIVISION_BOUND + 1) if is_prime(p)) ** 2
 
 # The only size bound on factoring: admissible_factors refuses values of more
-# bits, and the direct scan stops below 2**DIRECT_SCAN_BITS.
-DIRECT_SCAN_BITS = 96
+# bits, and the direct scan stops below 2**DIRECT_SCAN_BITS.  2**81 is the
+# largest power of two below psi_13 (about 3.3e24), so every candidate,
+# cofactor and factorize part lies where is_prime is a proof.
+DIRECT_SCAN_BITS = 81
 
 
 class NoWindowError(Exception):
@@ -84,15 +87,14 @@ class NoWindowError(Exception):
 
 @dataclass(frozen=True)
 class AuxModulus:
-    """An admissible modulus together with its (certified) prime factors.
+    """An admissible modulus together with its prime factors.
 
-    `probable` lists the factors that only a probable-prime test accepted:
-    those above PROBABLE_PRIME_THRESHOLD that no proof covers.
+    The scans that build one prove every factor prime (all lie below
+    psi_13); the constructor checks only order, residue and product.
     """
 
     value: int
     primes: tuple[int, ...]
-    probable: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         prod = 1
@@ -106,8 +108,6 @@ class AuxModulus:
             prod *= p
         if prod != self.value:
             raise ValueError("value does not match its factorization")
-        if self.probable and not set(self.probable) <= set(self.primes):
-            raise ValueError("probable primes must be among the factors")
 
 
 @dataclass(frozen=True)
@@ -232,26 +232,20 @@ def iter_moduli_direct(n: int, *, scan_limit: int | None = None):
     """Admissible moduli for n in ascending order, scanned directly.
 
     Candidates obey the size interval and m = n/2 (mod 4), and stay below
-    2**DIRECT_SCAN_BITS (96 bits): that cap is the only size bound on
-    factoring, and a target whose whole interval lies above it gets nothing
-    from this scan.  At most `scan_limit` candidates are examined.
+    2**DIRECT_SCAN_BITS (81 bits, below psi_13): that cap is the only size
+    bound on factoring, it keeps every factor proven, and a target whose
+    whole interval lies above it (about 77 digits and up) gets nothing from
+    this scan.  At most `scan_limit` candidates are examined.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")
     lo, hi = modulus_interval(n)
     hi = min(hi, (1 << DIRECT_SCAN_BITS) - 1)
     first = lo + ((n // 2) - lo) % 4
-    examined = 0
-    for cand in range(first, hi + 1, 4):
-        if scan_limit is not None and examined >= scan_limit:
-            return
-        examined += 1
+    for cand in range(first, hi + 1, 4)[:scan_limit]:
         fac = admissible_factors(cand)
         if fac is not None:
-            probable = () if cand <= PROBABLE_PRIME_THRESHOLD else tuple(
-                f for f in fac if f > PROBABLE_PRIME_THRESHOLD
-            )
-            yield AuxModulus(cand, fac, probable)
+            yield AuxModulus(cand, fac)
 
 
 # -- the base window ---------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from sevencubes.arith import (
     _GCD_SIEVE_BOUND,
     _MR_PSI,
-    PROBABLE_PRIME_THRESHOLD,
     TRIAL_DIVISION_BOUND,
     clear_bits,
     crt,
@@ -29,7 +28,6 @@ from sevencubes.arith import (
     prime_sieve,
     primes_upto,
 )
-from sevencubes.arith import _strong_lucas_prp as strong_lucas_prp
 
 
 def naive_is_prime(n: int) -> bool:
@@ -74,8 +72,8 @@ def test_is_prime_exhaustive_small():
 
 
 # Frozen landmark composites: Carmichael numbers, strong pseudoprimes to
-# many bases, and the two smallest composites passing the first 12 / 13
-# prime Miller-Rabin bases.
+# many bases, and the smallest composite passing the first 12 prime
+# Miller-Rabin bases.
 LANDMARK_COMPOSITES = [
     341,
     561,
@@ -87,7 +85,6 @@ LANDMARK_COMPOSITES = [
     341550071728321,
     3825123056546413051,
     318665857834031151167461,
-    3317044064679887385961981,
 ]
 
 LANDMARK_PRIMES = [
@@ -97,11 +94,19 @@ LANDMARK_PRIMES = [
     104729,
     2**31 - 1,
     2**61 - 1,
-    2**89 - 1,
-    2**127 - 1,
     10**18 + 9,
     999999999999999989,
     10**24 + 7,
+]
+
+# At or above psi_13, the smallest composite passing the first 13 prime
+# bases, the bases prove nothing and is_prime refuses: psi_13 itself, two
+# Mersenne primes and the square of a third.
+LANDMARKS_PAST_PSI_13 = [
+    3317044064679887385961981,
+    2**89 - 1,
+    2**127 - 1,
+    (2**61 - 1) ** 2,
 ]
 
 
@@ -110,11 +115,14 @@ def test_is_prime_landmarks():
         assert not is_prime(n), n
     for n in LANDMARK_PRIMES:
         assert is_prime(n), n
+    for n in LANDMARKS_PAST_PSI_13:
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_is_prime_square_of_prime_rejected():
-    # squares of primes trip up sloppy Lucas implementations
-    for p in (1000003, 10**9 + 7, 2**61 - 1):
+    # squares of primes have no small factor, yet are composite
+    for p in (1000003, 10**9 + 7, 10**12 + 39):
         assert not is_prime(p * p)
 
 
@@ -137,7 +145,8 @@ def test_is_prime_gcd_prefilter_edges():
     assert at == factors[-1] and above not in factors and is_prime(above)
     for n in range(bound - 200, bound + 200):
         assert is_prime(n) == naive_is_prime(n), n
-    large = (10**9 + 7, 2**61 - 1, 2**89 - 1)  # 2**89 - 1 takes the Lucas test
+    # large primes whose products with the ones above stay below psi_13
+    large = (10**9 + 7, 2**61 - 1, 10**18 + 9)
     for p in (53, below, at, above):
         for q in (below, at, above) + large:
             assert not is_prime(p * q), (p, q)
@@ -180,8 +189,9 @@ def test_factorize_spot_values():
 
 
 def test_factorize_rejects_bad_input():
-    # below 1, or with a prime factor up to the trial bound
-    for n in (0, -12, 2, 4, 360, 9973, 10007 * 9973, 2**100):
+    # below 1, with a prime factor up to the trial bound, or at or above
+    # psi_13, where is_prime proves no part
+    for n in (0, -12, 2, 4, 360, 9973, 10007 * 9973, 2**100, 10007**6 * 10009):
         with pytest.raises(ValueError):
             factorize(n)
 
@@ -209,6 +219,10 @@ def test_factorize_roundtrip(primes):
     n = 1
     for p in primes:
         n *= p
+    if n >= _MR_PSI[-1]:
+        with pytest.raises(ValueError):
+            factorize(n)
+        return
     fac = factorize(n)
     assert fac == sorted({p: primes.count(p) for p in primes}.items())
     assert all(is_prime(p) for p, _ in fac)
@@ -317,9 +331,15 @@ def test_cube_root_rejects_bad_prime_lists():
         cube_root_mod_6n(8, (11, 5))  # not increasing
 
 
-def test_probable_prime_threshold_is_13_base_bound():
-    # the smallest composite passing Miller-Rabin on the first 13 prime bases
-    assert PROBABLE_PRIME_THRESHOLD == 3317044064679887385961981
+def test_is_prime_refuses_from_the_13_base_bound():
+    # psi_13, the smallest composite passing Miller-Rabin on the first 13
+    # prime bases, is where is_prime stops being a proof, and so refuses
+    psi13 = _MR_PSI[-1]
+    assert psi13 == 3317044064679887385961981
+    assert is_prime(psi13 - 1) is False  # below the bound: answered
+    for n in (psi13, psi13 + 1, 2**82):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 # -- the Miller-Rabin cut-offs --------------------------------------------------
@@ -361,29 +381,36 @@ def strong_probable_prime(n: int, a: int) -> bool:
 
 
 def is_prime_all_bases(n: int) -> bool:
-    """The primality test without cut-offs: every number that gets past the
-    small primes runs all 13 Miller-Rabin bases, then the Lucas test above
-    the 13-base bound."""
+    """The primality test without cut-offs, for n below psi_13: every number
+    that gets past the small primes runs all 13 Miller-Rabin bases."""
     if n < 2:
         return False
     for p in _FIRST_13_PRIMES:
         if n % p == 0:
             return n == p
-    if not all(strong_probable_prime(n, a) for a in _FIRST_13_PRIMES):
+    return all(strong_probable_prime(n, a) for a in _FIRST_13_PRIMES)
+
+
+def matches_all_bases(n: int) -> bool:
+    """is_prime(n) agrees with is_prime_all_bases below psi_13 and raises
+    ValueError at or above it; True when n was answered."""
+    if n >= _MR_PSI[-1]:
+        with pytest.raises(ValueError):
+            is_prime(n)
         return False
-    return n < PROBABLE_PRIME_THRESHOLD or strong_lucas_prp(n)
+    assert is_prime(n) == is_prime_all_bases(n), n
+    return True
 
 
 def test_mr_psi_table():
     assert _MR_PSI == tuple(psi for psi, _ in PSI_FACTORS)
-    assert _MR_PSI[-1] == PROBABLE_PRIME_THRESHOLD
     assert list(_MR_PSI) == sorted(_MR_PSI)
     for k, (psi, factors) in enumerate(PSI_FACTORS, start=1):
         # composite, and a strong probable prime to the first k bases
         assert len(factors) > 1 and all(f > 1 for f in factors)
         assert psi == math.prod(factors)
         assert all(strong_probable_prime(psi, a) for a in _FIRST_13_PRIMES[:k]), k
-        assert not is_prime(psi)
+        assert k == 13 or not is_prime(psi)  # is_prime refuses psi_13
         # where the next entry is larger, psi_k fails base k + 1
         if k < 13 and _MR_PSI[k] > psi:
             assert not strong_probable_prime(psi, _FIRST_13_PRIMES[k]), k
@@ -402,15 +429,17 @@ def test_mr_psi_smallest_for_one_and_two_bases():
 def test_is_prime_matches_all_bases_near_psi():
     for psi in _MR_PSI:
         for n in range(psi - 4, psi + 5):
-            assert is_prime(n) == is_prime_all_bases(n), n
+            matches_all_bases(n)
 
 
 def test_is_prime_matches_all_bases_seeded():
     rng = random.Random(20240613)
-    primes = 0
+    primes = refused = 0
     for _ in range(100_000):
         n = rng.getrandbits(rng.randrange(11, 91))
-        verdict = is_prime(n)
-        assert verdict == is_prime_all_bases(n), n
-        primes += verdict
+        if matches_all_bases(n):
+            primes += is_prime(n)
+        else:
+            refused += 1
     assert primes > 1000  # the early exits were taken
+    assert refused > 1000  # draws at or above psi_13 raise

@@ -38,7 +38,7 @@ from sevencubes.construct import (
     residual_quotient,
     verify,
 )
-from sevencubes.modulus import AuxModulus, modulus_interval, steering_residues
+from sevencubes.modulus import DIRECT_SCAN_BITS, AuxModulus, modulus_interval, steering_residues
 from sevencubes.arith import primes_upto
 
 P5 = AuxModulus(5, (5,))
@@ -292,23 +292,31 @@ def test_decompose_300_digit_record_pinned():
     assert digest == "b39bfaaba36118a572e7ba8a283a29191b048ba32d2d5bda22bd62114003f905"
 
 
-def test_probable_primes_lists_only_unproven_factors():
-    # composite-route traces list no probable prime: l < 2**38 is proven,
-    # also for a target whose window lies just past the direct scan's 2**96
-    assert decompose(10**299 + 6).probable_primes == ()
-    n = 1786 * 26141**3 * (arith.PROBABLE_PRIME_THRESHOLD - 50) ** 3 - 1
+# an 89-digit target whose window (about 2**95) is full of candidates with
+# composite cofactors, which Pollard rho would have to split; it lies past
+# 2**DIRECT_SCAN_BITS, so none is factored
+_PAST_THE_DIRECT_SCAN = int(
+    "45224311216458038292176761525003882559427873509426807136010701777482448052627681566897482"
+)
+
+
+def test_every_modulus_factor_is_below_psi_13():
+    # every factor lies where is_prime is a proof: l < 2**38 on the composite
+    # route, and below 2**DIRECT_SCAN_BITS < psi_13 on the direct scan
+    psi13 = arith._MR_PSI[-1]
+    n = 1786 * 26141**3 * (psi13 - 50) ** 3 - 1
     n -= (n - 2) % 4
-    tr = decompose(n)
-    assert tr.p_value > 2**96 and tr.probable_primes == ()
-    assert tr.p_factors[-1] < arith.PROBABLE_PRIME_THRESHOLD
-    # a direct-scan modulus, prime and in [3.3e24, 2**96): is_prime only
-    # calls it a strong probable prime
-    tr = decompose(10**82 + 2)
-    assert tr.p_factors == (177571330382613294250565969,)
-    assert tr.probable_primes == tr.p_factors
-    assert arith.PROBABLE_PRIME_THRESHOLD < tr.p_value < 2**96
-    # a direct-scan factor below the threshold is proven
-    assert decompose(10**30 + 2).probable_primes == ()
+    for target in (10**299 + 6, n, 10**30 + 2):
+        tr = decompose(target)
+        assert tr.branch == "construction" and tr.verified
+        assert max(tr.p_factors) < psi13, target
+    # windows above 2**DIRECT_SCAN_BITS go to the composite route, whose S
+    # starts at 11 for a unit steering residue
+    for target in (10**82 + 2, _PAST_THE_DIRECT_SCAN):
+        tr = decompose(target)
+        assert tr.branch == "construction" and tr.verified
+        assert tr.p_value >= 2**DIRECT_SCAN_BITS and tr.p_factors[0] == 11
+        assert max(tr.p_factors) < 2**38, target
 
 
 @pytest.mark.parametrize("v", [0, 1, 2], ids=["unit", "five", "twentyfive"])
@@ -326,7 +334,7 @@ def test_decompose_composite_route_every_branch(v):
 def test_decompose_2000_digits():
     n = 4 * random.Random(2000).randrange(10**1999 // 4, 10**2000 // 4) + 2
     tr = decompose(n)
-    assert tr.branch == "construction" and tr.probable_primes == ()
+    assert tr.branch == "construction" and max(tr.p_factors) < 2**38
     assert tr.verified and tr.recheck()
 
 
@@ -459,6 +467,11 @@ def test_verify_shape_checks():
     assert not verify((2, 35, 5, 25, 25, 40), 202258 - 64000)
     assert not verify((2, 35, 5, 25, 25, 40, -40), 202258 - 2 * 64000)
     assert not verify((2.0, 35, 5, 25, 25, 40, 40), 202258)
+    # bools are not ints here, as for decompose
+    assert not verify((True,) * 7, 7)
+    assert not verify([True, False, 0, 0, 0, 0, 0], 1)
+    assert not verify((1, 0, 0, 0, 0, 0, 0), True)
+    assert verify((1, 0, 0, 0, 0, 0, 0), 1)
 
 
 # -- decompose ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevencubes import modulus
-from sevencubes.arith import PROBABLE_PRIME_THRESHOLD, factorize, is_prime, primes_upto
+from sevencubes.arith import _MR_PSI, factorize, is_prime, primes_upto
 from sevencubes.modulus import (
     LARGE_PRIME_FLOOR,
     VALID_HI,
@@ -168,10 +168,10 @@ def test_admissible_factors_tests_only_cofactors_past_the_untried_square(monkeyp
 
 
 def test_admissible_factors_matches_naive_seeded():
-    # values of 20-96 bits built from primes on both sides of every bound in
-    # admissible_factors (200, the trial bound 10**4, 10007**2), repeats
-    # allowed, with at most one prime above 2 * 10**4 so that the naive
-    # reference stays fast
+    # values of 20 to DIRECT_SCAN_BITS bits built from primes on both sides
+    # of every bound in admissible_factors (200, the trial bound 10**4,
+    # 10007**2), repeats allowed, with at most one prime above 2 * 10**4 so
+    # that the naive reference stays fast
     rng = random.Random(1618)
     uncached = admissible_factors.__wrapped__
     pool = primes_upto(2 * 10**4)
@@ -192,7 +192,7 @@ def test_admissible_factors_matches_naive_seeded():
             if p % 6 != 5 and rng.random() < 0.8:
                 continue  # mostly good primes, so that many values get far
             n *= p
-        if n.bit_length() > 96:
+        if n.bit_length() > modulus.DIRECT_SCAN_BITS:
             continue
         expected = naive_admissible_factors(n)
         assert uncached(n) == expected, n
@@ -213,8 +213,6 @@ def test_aux_modulus_validation():
         AuxModulus(55, (11, 5))
     with pytest.raises(ValueError):
         AuxModulus(56, (5, 11))
-    with pytest.raises(ValueError):
-        AuxModulus(55, (5, 11), (17,))  # a probable prime that is no factor
     assert admissible_factors(26669) == (26669,) and admissible_factors(26670) is None
 
 
@@ -355,7 +353,14 @@ def test_admissible_factors_refuses_values_over_the_cap():
         admissible_factors(n)
     with pytest.raises(ValueError):
         admissible_factors(2**modulus.DIRECT_SCAN_BITS + 1)
-    assert admissible_factors(2**modulus.DIRECT_SCAN_BITS - 1) is None  # 3 | 4**48 - 1
+    assert admissible_factors(2**modulus.DIRECT_SCAN_BITS - 1) is None  # 7 | 2**81 - 1
+
+
+def test_direct_scan_cap_lies_below_psi_13():
+    # 2**DIRECT_SCAN_BITS is the largest power of two below psi_13, so every
+    # candidate, cofactor and factorize part is in is_prime's proven range
+    bits = modulus.DIRECT_SCAN_BITS
+    assert 2**bits < _MR_PSI[-1] < 2 ** (bits + 1)
 
 
 # -- covering window ----------------------------------------------------------
@@ -443,7 +448,7 @@ def test_iter_moduli_composite_smooth_modulus(n):
             m = next(iter_moduli_composite(target, b))
             assert lo <= m.value <= hi and modulus_valid(target, m.value)
             assert m.value % 25 == b and m.value % 4 == half
-            assert m.value == prod(m.primes) and m.probable == ()
+            assert m.value == prod(m.primes)
             *smooth, ell = m.primes
             # the least primes = 5 (mod 6) from 11, 5 first iff 5 | b, as many
             # as leave room for l >= 2**24
@@ -452,7 +457,7 @@ def test_iter_moduli_composite_smooth_modulus(n):
             assert smooth == least[:k]
             assert prod(smooth) * LARGE_PRIME_FLOOR <= lo
             assert prod(smooth) * least[k] * LARGE_PRIME_FLOOR > lo
-            assert 2**24 <= ell < PROBABLE_PRIME_THRESHOLD and is_prime(ell)
+            assert 2**24 <= ell < 2**38 and is_prime(ell)
             # l is the least prime that completes the congruences, walked by 1
             s = prod(smooth)
             assert ell == next(
@@ -492,9 +497,3 @@ def test_iter_moduli_composite_yields_nothing_past_its_edges():
         m = next(iter_moduli_composite(n, b), None)
         assert (m is None) if b % 5 else (m.primes[0] == 5 and len(m.primes) == 2)
 
-
-def test_iter_moduli_direct_marks_probable_factors():
-    n = 10**82 + 2  # its smallest admissible modulus is a prime above 3.3e24
-    m = next(iter_moduli_direct(n))
-    assert m.primes == (177571330382613294250565969,) and m.probable == m.primes
-    assert all(m.probable == () for m in iter_moduli_direct(10**30 + 2, scan_limit=200))
