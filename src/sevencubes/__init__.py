@@ -8,7 +8,6 @@ and scan the construction relies on.
 
 from .construct import (
     ConstructionError,
-    DecomposeConfig,
     NotRepresentableError,
     OutOfScopeError,
     Trace,
@@ -18,7 +17,7 @@ from .construct import (
 from .search import (
     EXCEPTIONS,
     EXCEPTIONS_EVEN,
-    SearchBudget,
+    SEARCH_MAX_N,
     SearchLimitError,
     exception_scan,
     search_cubes,
@@ -30,11 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "EXCEPTIONS",
     "EXCEPTIONS_EVEN",
+    "SEARCH_MAX_N",
     "ConstructionError",
-    "DecomposeConfig",
     "NotRepresentableError",
     "OutOfScopeError",
-    "SearchBudget",
     "SearchLimitError",
     "Trace",
     "decompose",

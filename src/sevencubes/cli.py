@@ -19,7 +19,6 @@ from fractions import Fraction
 from importlib import resources
 
 from .construct import (
-    DecomposeConfig,
     NotRepresentableError,
     OutOfScopeError,
     decompose,
@@ -28,13 +27,13 @@ from .construct import (
 from .modulus import table2_text
 from .search import (
     EXCEPTIONS,
+    SEARCH_MAX_N,
     SearchLimitError,
     exception_scan,
     exceptional_cube_tables,
     exceptional_table_text,
 )
 
-_DEFAULTS = DecomposeConfig()
 _SELFTEST_SEED = 20110213
 
 # `certify` is imported only by the commands that use it (certify, selftest
@@ -84,9 +83,8 @@ def _packaged_table(filename: str) -> str:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    config = DecomposeConfig(search_max_n=args.budget_search)
     try:
-        trace = decompose(args.n, config)
+        trace = decompose(args.n, search_max_n=args.budget_search)
     except NotRepresentableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("n", type=_decimal, metavar="N")
     d.add_argument("--trace", action="store_true", help="print the full audit record")
     d.add_argument("--format", choices=("text", "structured"), default="text")
-    d.add_argument("--budget-search", type=_decimal, default=_DEFAULTS.search_max_n,
+    d.add_argument("--budget-search", type=_decimal, default=SEARCH_MAX_N,
                    help="largest value the exhaustive search will accept")
     d.set_defaults(func=_cmd_decompose)
 

@@ -31,7 +31,6 @@ exceptions are routed to the exhaustive search / stored tables instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import isqrt
 from typing import Iterator, NamedTuple
 
@@ -44,6 +43,7 @@ from .arith import (
 # unused here: perfbench/tracing.py replaces construct.is_prime by name
 from .arith import is_prime  # noqa: F401
 from .modulus import (
+    IDENTITY_CONSTANT,
     LARGE_PRIME_FLOOR,
     VALID_HI,
     AuxModulus,
@@ -54,7 +54,8 @@ from .modulus import (
 )
 from .search import (
     EXCEPTIONS,
-    SearchBudget,
+    SEARCH_MAX_N,
+    SearchLimitError,
     exceptional_cube_tables,
     search_seven,
 )
@@ -62,7 +63,6 @@ from .search import (
 __all__ = [
     "IDENTITY_CONSTANT",
     "ConstructionError",
-    "DecomposeConfig",
     "NotRepresentableError",
     "OutOfScopeError",
     "TernaryRep",
@@ -76,9 +76,6 @@ __all__ = [
     "residual_quotient",
     "verify",
 ]
-
-# 2 * (4**3 + 5**3 + 8**3): the cube-free part of the six-term identity.
-IDENTITY_CONSTANT = 1402
 
 # candidate values examined per direct modulus scan
 DIRECT_SCAN_LIMIT = 500_000
@@ -183,45 +180,24 @@ class TernaryRep(NamedTuple):
 def _sqrt_minus_two(p: int) -> int | None:
     """r with r*r == -2 (mod p) for odd p == 1, 3 (mod 8), or None.
 
-    For prime p the root always exists.  p need not be prime: a composite p
-    ends in None or a genuine root, at the cost of about one exponentiation.
-    Euler's criterion (-2)**((p-1)/2) == 1 comes first and rejects almost
-    every composite; it is computed as a power of 2, since (-2)**e ==
-    (-1)**e * 2**e and a power of 2 is cheaper than one of a large base.
-    Tonelli-Shanks then takes the first z from 3 with Jacobi symbol -1 (2 is
-    a residue mod p == 1 mod 8), capped, and stops its squaring loop after
-    s steps, so it ends on a composite p.  No prime is proven.
+    For prime p the root always exists.  p need not be prime: the root is
+    checked exactly, so a composite p ends in None or a genuine root, at the
+    cost of about one exponentiation.  For p == 3 (mod 8) the root is
+    +-(-2)**((p+1)/4), computed as a power of 2.  For p == 1 (mod 8) it is
+    c*(1 + c*c) with c = z**((p-1)/8) for the first z from 3 with Jacobi
+    symbol -1 (2 is a residue mod p == 1 mod 8), capped: for prime p,
+    c**4 == -1, so c is a primitive 8th root of unity and c + c**3 =
+    c - c**-1 squares to -2.  No prime is proven.
     """
     if p % 8 == 3:
-        r = pow(2, (p + 1) // 4, p)  # +-(-2)**((p+1)/4): r*r == -2 iff Euler holds
-        return r if (r * r + 2) % p == 0 else None
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    q = (p - 1) >> s
-    e = (q - 1) // 2
-    w = pow(2, e, p)
-    if e % 2:
-        w = p - w  # w == (-2)**e
-    r = (p - 2) * w % p  # (-2)**((q+1)/2)
-    t = r * w % p  # (-2)**q, so r*r == -2*t
-    if pow(t, 1 << (s - 1), p) != 1:  # Euler's criterion
-        return None
-    z = next((z for z in range(3, _NONRESIDUE_CAP) if jacobi(z, p) == -1), None)
-    if z is None:
-        return None
-    m, c = s, pow(z, q, p)
-    while t != 1:
-        # least i < m with t**(2**i) == 1; a prime p always has one
-        i, t2 = 0, t
-        while t2 != 1:
-            i += 1
-            if i == m:
-                return None
-            t2 = t2 * t2 % p
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+        r = pow(2, (p + 1) // 4, p)
+    else:
+        z = next((z for z in range(3, _NONRESIDUE_CAP) if jacobi(z, p) == -1), None)
+        if z is None:
+            return None
+        c = pow(z, (p - 1) // 8, p)
+        r = c * (1 + c * c) % p
+    return r if (r * r + 2) % p == 0 else None
 
 
 def _cornacchia_two(p: int) -> tuple[int, int] | None:
@@ -398,32 +374,6 @@ def verify(cubes, n: int) -> bool:
     return a**3 + b**3 + c**3 + d**3 + e**3 + f**3 + g**3 == n
 
 
-@dataclass(frozen=True)
-class DecomposeConfig:
-    """The budget of decompose(): `search_max_n`, the largest n0 the
-    exhaustive seven-cube search accepts.
-
-    The identity route has fixed budgets instead: DIRECT_SCAN_LIMIT
-    candidates, all below 2**modulus.DIRECT_SCAN_BITS (under psi_13, so
-    every factor is proven), per direct scan; PRIME_SCAN_LIMIT values of the
-    large prime l per composite scan (one scan per steering residue); and
-    FIBER_BUDGET fibers per modulus in the ternary step.  A modulus whose
-    residual exhausts the fibers is skipped like one whose residual is
-    excluded.
-    """
-
-    search_max_n: int = 10**8
-
-
-_DEFAULT_CONFIG = DecomposeConfig()
-
-
-@lru_cache(maxsize=8)
-def _search_budget(max_n: int) -> SearchBudget:
-    """The search budget of a DecomposeConfig, built once per value."""
-    return SearchBudget(max_n=max_n)
-
-
 @dataclass
 class Trace:
     """Full audit record of one decomposition.
@@ -528,10 +478,7 @@ def _construct(n: int) -> Trace | None:
         raise ValueError("the constructive route needs n == 2 (mod 4)")
     for modulus in _candidate_moduli(n):
         x0 = anchor_root(n, modulus)
-        try:
-            q = residual_quotient(n, modulus.value, x0)
-        except ConstructionError:  # pragma: no cover - parity pinning prevents this
-            continue
+        q = residual_quotient(n, modulus.value, x0)
         if dickson_excluded(q):
             continue
         try:
@@ -557,16 +504,23 @@ def _construct(n: int) -> Trace | None:
     return None
 
 
-def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
+def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
     """Decompose n into seven nonnegative cubes with a full audit trace.
 
     Routing: strip powers of 125; stored tables handle the scaled images of
     the true exceptions; the identity route handles n0 == 2 (mod 4); the
-    exhaustive search covers everything else within its budget.  Raises
+    exhaustive search covers everything else up to `search_max_n`.  Raises
     NotRepresentableError for the 17 true exceptions, OutOfScopeError when
-    only the exhaustive search applies and n0 exceeds its budget.
+    only the exhaustive search applies and n0 exceeds `search_max_n`.
+
+    The identity route has fixed budgets instead: DIRECT_SCAN_LIMIT
+    candidates, all below 2**modulus.DIRECT_SCAN_BITS (under psi_13, so
+    every factor is proven), per direct scan; PRIME_SCAN_LIMIT values of the
+    large prime l per composite scan (one scan per steering residue); and
+    FIBER_BUDGET fibers per modulus in the ternary step.  A modulus whose
+    residual exhausts the fibers is skipped like one whose residual is
+    excluded.
     """
-    cfg = config or _DEFAULT_CONFIG
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("n must be an int")
     if n < 0:
@@ -611,13 +565,14 @@ def decompose(n: int, config: DecomposeConfig | None = None) -> Trace:
             trace.recheck()
             return trace
 
-    if n0 > cfg.search_max_n:
+    try:
+        found = search_seven(n0, max_n=search_max_n)
+    except SearchLimitError:
         raise OutOfScopeError(
             # n itself is left out: past 4300 digits it may not convert to str
             f"no constructive route, and n0 = n / 125**{e} exceeds the search"
-            f" budget {cfg.search_max_n}"
-        )
-    found = search_seven(n0, _search_budget(cfg.search_max_n))
+            f" budget {search_max_n}"
+        ) from None
     if found is None:  # complete search: a genuine non-representable value
         raise NotRepresentableError(f"{n} is not a sum of seven nonnegative cubes")
     trace = Trace(

@@ -44,6 +44,7 @@ from .arith import (
 
 __all__ = [
     "DIRECT_SCAN_BITS",
+    "IDENTITY_CONSTANT",
     "LARGE_PRIME_FLOOR",
     "VALID_LO",
     "VALID_HI",
@@ -67,7 +68,9 @@ __all__ = [
 VALID_LO = 1618
 VALID_HI = 1786
 
-_IDENTITY_CONSTANT = 1402  # = 2 * (4**3 + 5**3 + 8**3), see construct.py
+# 2 * (4**3 + 5**3 + 8**3): the cube-free part of the six-term identity
+# (see construct.py).
+IDENTITY_CONSTANT = 1402
 
 # The smallest composite with no prime factor up to TRIAL_DIVISION_BOUND is
 # the square of the first prime past it (10007**2): a cofactor left by the
@@ -118,7 +121,6 @@ class SteeringChoice:
     candidates: tuple[int, ...]  # ascending, all nonzero mod 25
 
 
-@lru_cache(maxsize=1 << 17)
 def admissible_factors(n: int) -> tuple[int, ...] | None:
     """The prime factors of n if n is an admissible modulus, else None.
 
@@ -195,9 +197,9 @@ def steering_residues(n: int) -> SteeringChoice:
         for b in range(1, 25):
             if b % 5 == 0:
                 continue
-            if (n - _IDENTITY_CONSTANT * b**3) % 5:
+            if (n - IDENTITY_CONSTANT * b**3) % 5:
                 continue
-            q0 = (n - _IDENTITY_CONSTANT * b**3) * pow(24 * b, -1, 25) % 25
+            q0 = (n - IDENTITY_CONSTANT * b**3) * pow(24 * b, -1, 25) % 25
             if q0 in (5, 20):
                 cands.append(b)
         if len(cands) != 2:

@@ -9,13 +9,13 @@ byte-packed memo of the answers of its nodes with 4, 5 and 6 slots below
 that window.  Below 209**3 the remainder left by the root's first base lies
 inside the window, so a warm seven-cube search is one cube root, one memo
 probe and one slice.  A None from `search_seven` is a proof of
-non-representability within the budget, not a timeout: each memo entry is
-the result of a complete descent from that node.
+non-representability, not a timeout: each memo entry is the result of a
+complete descent from that node.  Both paths refuse values above a size cap,
+SEARCH_MAX_N by default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import clear_bits, integer_cbrt
@@ -23,7 +23,7 @@ from .arith import clear_bits, integer_cbrt
 __all__ = [
     "EXCEPTIONS",
     "EXCEPTIONS_EVEN",
-    "SearchBudget",
+    "SEARCH_MAX_N",
     "SearchLimitError",
     "exception_scan",
     "exceptional_cube_tables",
@@ -40,19 +40,14 @@ EXCEPTIONS = frozenset(
 EXCEPTIONS_EVEN = frozenset(n for n in EXCEPTIONS if n % 2 == 0)
 
 
+# The largest n the descent accepts by default, and the largest limit of the
+# exception scan, which builds a bitset of that many bits.
+SEARCH_MAX_N = 10**8
+
+
 class SearchLimitError(Exception):
-    """The request exceeds the configured exhaustive-search budget."""
+    """The request exceeds the exhaustive search's size cap."""
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits of the exhaustive search: `max_n`, the largest n the descent
-    or the exception scan will accept.  Within it a None is a proof."""
-
-    max_n: int = 10**8
-
-
-_DEFAULT_BUDGET = SearchBudget()
 
 # The pruning tables and the memo cover remainders up to this.  Over 5 000
 # descent targets below 4 * 10**6 the remainders entering nodes with 5 and
@@ -136,25 +131,25 @@ def search_cubes(
     k: int,
     *,
     min_base: int = 0,
-    budget: SearchBudget | None = None,
+    max_n: int = SEARCH_MAX_N,
 ) -> tuple[int, ...] | None:
     """A representation of n as x1**3 + ... + xk**3 with xi >= min_base,
     as a nonincreasing tuple, or None if no such representation exists.
 
     The descent is complete: it enumerates nonincreasing base tuples and
-    prunes with exact tables, so None is a proof within the budget.  The
-    answer is the lexicographically largest such tuple.  With min_base == 0
-    a node with 4, 5 or 6 slots and a small remainder is answered from a memo
-    of earlier nodes; each entry is the result of a complete descent from
-    that node, so the answer and the proof are the same as without it.
+    prunes with exact tables, so None is a proof.  The answer is the
+    lexicographically largest such tuple.  With min_base == 0 a node with 4,
+    5 or 6 slots and a small remainder is answered from a memo of earlier
+    nodes; each entry is the result of a complete descent from that node, so
+    the answer and the proof are the same as without it.  n above max_n
+    raises SearchLimitError.
     """
-    bud = budget or _DEFAULT_BUDGET
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    if n > bud.max_n:
+    if n > max_n:
         # n is left out: past 4300 digits it may not convert to str
         raise SearchLimitError(
-            f"n of {n.bit_length()} bits exceeds the search budget {bud.max_n}"
+            f"n of {n.bit_length()} bits exceeds the search budget {max_n}"
         )
     positive = min_base > 0
     lowest = max(min_base, 1)
@@ -232,21 +227,21 @@ def search_cubes(
     return result
 
 
-def search_seven(n: int, budget: SearchBudget | None = None) -> tuple[int, ...] | None:
+def search_seven(n: int, max_n: int = SEARCH_MAX_N) -> tuple[int, ...] | None:
     """A sum of seven nonnegative cubes equal to n, or None (definitive)."""
-    return search_cubes(n, 7, budget=budget)
+    return search_cubes(n, 7, max_n=max_n)
 
 
-def exception_scan(limit: int, budget: SearchBudget | None = None) -> list[int]:
-    """All n <= limit with no representation as seven nonnegative cubes.
+def exception_scan(limit: int) -> list[int]:
+    """All n <= limit with no representation as seven nonnegative cubes,
+    for limit up to SEARCH_MAX_N.
 
     Uses a layered reachability bitset (seven rounds of 'add one cube'),
     independent of the backtracking path in search_seven.
     """
-    bud = budget or _DEFAULT_BUDGET
-    if limit > bud.max_n:
+    if limit > SEARCH_MAX_N:
         raise SearchLimitError(
-            f"a limit of {limit.bit_length()} bits exceeds the search budget {bud.max_n}"
+            f"a limit of {limit.bit_length()} bits exceeds the search budget {SEARCH_MAX_N}"
         )
     mask = (1 << (limit + 1)) - 1
     cubes = [x**3 for x in range(1, integer_cbrt(limit) + 1)]

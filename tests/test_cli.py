@@ -65,6 +65,14 @@ def test_decompose_budget_exhausted(capsys):
     assert err  # reason goes to stderr
 
 
+def test_decompose_budget_search_raises_the_cap(capsys):
+    code, _, err = run(capsys, "decompose", "3308360150")
+    assert code == 3 and "search budget 100000000" in err
+    code, out, _ = run(capsys, "decompose", "3308360150", "--budget-search", str(10**10))
+    assert code == 0
+    assert out.strip() == "3308360150 = 1490^3 + 74^3 + 14^3 + 11^3 + 11^3 + 8^3 + 2^3"
+
+
 def test_decompose_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "-5"])

@@ -21,7 +21,6 @@ from sevencubes import arith, construct
 from sevencubes.construct import (
     IDENTITY_CONSTANT,
     ConstructionError,
-    DecomposeConfig,
     NotRepresentableError,
     OutOfScopeError,
     TernaryRep,
@@ -576,9 +575,15 @@ def test_decompose_large_random(k):
 
 
 def test_decompose_respects_config():
-    cfg = DecomposeConfig(search_max_n=100)
-    with pytest.raises(OutOfScopeError):
-        decompose(1004, cfg)  # even, == 0 mod 4, search capped below it
+    with pytest.raises(OutOfScopeError, match="exceeds the search budget 100$"):
+        decompose(1004, search_max_n=100)  # even, == 0 mod 4, search capped below it
+    # no constructive route, and above the default cap: only a raised cap
+    # lets the descent answer
+    with pytest.raises(OutOfScopeError, match="exceeds the search budget 100000000$"):
+        decompose(3308360150)
+    tr = decompose(3308360150, search_max_n=10**10)
+    assert tr.branch == "fallback" and tr.verified
+    assert tr.cubes == (1490, 74, 14, 11, 11, 8, 2)
 
 
 # -- trace serialisation -------------------------------------------------------

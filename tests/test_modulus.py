@@ -142,9 +142,8 @@ def test_admissible_factors_each_exit_matches_naive(monkeypatch):
         return factorize(m)
 
     monkeypatch.setattr(modulus, "factorize", counting_factorize)
-    uncached = admissible_factors.__wrapped__
     for n, expected in cases.items():
-        assert uncached(n) == naive_admissible_factors(n) == expected, n
+        assert admissible_factors(n) == naive_admissible_factors(n) == expected, n
     # only composite cofactors free of trial-division factors are factorized
     assert factorized == [10007 * 10037, 10007 * 10037, 10007 * 10009, 10007**2, 10037**2]
 
@@ -159,11 +158,10 @@ def test_admissible_factors_tests_only_cofactors_past_the_untried_square(monkeyp
         return is_prime(m)
 
     monkeypatch.setattr(modulus, "is_prime", counting_is_prime)
-    uncached = admissible_factors.__wrapped__
-    assert uncached(11 * 99460841) == (11, 99460841)  # 9973**2 < 99460841
-    assert uncached(5 * 9941 * 10007) == (5, 9941, 10007)
-    assert uncached(11 * 100140049) is None  # = 10007**2
-    assert uncached(11 * 100140059) == (11, 100140059)  # the next prime, = 5 (mod 6)
+    assert admissible_factors(11 * 99460841) == (11, 99460841)  # 9973**2 < 99460841
+    assert admissible_factors(5 * 9941 * 10007) == (5, 9941, 10007)
+    assert admissible_factors(11 * 100140049) is None  # = 10007**2
+    assert admissible_factors(11 * 100140059) == (11, 100140059)  # the next prime, = 5 (mod 6)
     assert tested == [10007**2, 100140059]
 
 
@@ -173,7 +171,6 @@ def test_admissible_factors_matches_naive_seeded():
     # 10007**2), repeats allowed, with at most one prime above 2 * 10**4 so
     # that the naive reference stays fast
     rng = random.Random(1618)
-    uncached = admissible_factors.__wrapped__
     pool = primes_upto(2 * 10**4)
     small = [p for p in pool if p < 200]
     trial = [p for p in pool if 200 <= p <= 10**4]
@@ -195,14 +192,14 @@ def test_admissible_factors_matches_naive_seeded():
         if n.bit_length() > modulus.DIRECT_SCAN_BITS:
             continue
         expected = naive_admissible_factors(n)
-        assert uncached(n) == expected, n
+        assert admissible_factors(n) == expected, n
         checked += 1
         admitted += expected is not None
     assert admitted > 200
     # and uniformly random values of 20-34 bits
     for _ in range(500):
         n = rng.getrandbits(rng.randrange(20, 35)) | 1 << 19
-        assert uncached(n) == naive_admissible_factors(n), n
+        assert admissible_factors(n) == naive_admissible_factors(n), n
 
 
 def test_aux_modulus_validation():
@@ -327,7 +324,7 @@ def test_direct_scan_cap(monkeypatch):
 
     def recording_admissible(m):
         seen_admissible.append(m)
-        return admissible_factors.__wrapped__(m)
+        return admissible_factors(m)
 
     def recording_factorize(m):
         seen_factorize.append(m)

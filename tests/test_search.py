@@ -18,7 +18,6 @@ from sevencubes.arith import integer_cbrt
 from sevencubes.search import (
     EXCEPTIONS,
     EXCEPTIONS_EVEN,
-    SearchBudget,
     SearchLimitError,
     exception_scan,
     exceptional_cube_tables,
@@ -103,11 +102,11 @@ def fresh_tables():
     _tables.cache_clear()
 
 
-def test_search_budget(fresh_tables, monkeypatch):
+def test_search_cap(fresh_tables, monkeypatch):
     with pytest.raises(SearchLimitError):
         search_seven(10**9)
     with pytest.raises(SearchLimitError):
-        search_cubes(5000, 7, budget=SearchBudget(max_n=1000))
+        search_cubes(5000, 7, max_n=1000)
     # a tighter table window must not change answers, only speed
     sample = [*range(0, 2000), *range(2000, 4 * 10**6, 3989)]
     full = [search_seven(n) for n in sample]
