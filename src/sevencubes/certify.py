@@ -34,6 +34,7 @@ from .modulus import (
     VALID_LO,
     WINDOW_RATIO_CAP,
     base_window_table,
+    residual_class,
     steering_residues,
     window_bounds,
 )
@@ -59,11 +60,6 @@ _TABLE1_PLUS = (2, 21, 9, 18, 22, 1, 14, 13, 17, 6, 19, 8, 12, 11, 24, 3, 7, 16,
 _TABLE1_MINUS = (7, 6, 24, 13, 2, 11, 4, 8, 22, 16, 9, 3, 17, 21, 14, 23, 12, 1, 19, 18)
 
 
-def _q0(n_residue: int, b: int) -> int:
-    """Residual class (n - 1402*b**3) / (24*b) mod 25 for a unit class b."""
-    return (n_residue - IDENTITY_CONSTANT * b**3) * pow(24 * b, -1, 25) % 25
-
-
 def steering_table_report() -> dict:
     """Recompute the 20 steering columns and compare with the frozen table.
 
@@ -76,8 +72,8 @@ def steering_table_report() -> dict:
     all_ok = True
     for r, b_plus, b_minus in zip(_TABLE1_COLUMNS, _TABLE1_PLUS, _TABLE1_MINUS):
         choice = steering_residues(r)
-        q_plus = _q0(r, b_plus)
-        q_minus = _q0(r, b_minus)
+        q_plus = residual_class(r, b_plus)
+        q_minus = residual_class(r, b_minus)
         ok = (
             choice.branch == "unit"
             and set(choice.candidates) == {b_plus, b_minus}
@@ -100,10 +96,14 @@ def steering_table_report() -> dict:
 
 
 def steering_table_text() -> str:
-    """The frozen steering table as 'residue b_plus b_minus' lines."""
+    """The steering table as 'residue b_plus b_minus' lines, regenerated by
+    steering_residues: b_plus is the candidate with residual class 20."""
     lines = ["# steering pairs mod 25: residue b_plus b_minus"]
-    for r, bp, bm in zip(_TABLE1_COLUMNS, _TABLE1_PLUS, _TABLE1_MINUS):
-        lines.append(f"{r} {bp} {bm}")
+    for r in range(1, 25):
+        if r % 5:
+            pair = steering_residues(r).candidates
+            bp, bm = pair if residual_class(r, pair[0]) == 20 else pair[::-1]
+            lines.append(f"{r} {bp} {bm}")
     return "\n".join(lines) + "\n"
 
 
@@ -126,7 +126,7 @@ def steering_uniqueness_report() -> dict:
             (-r - 2 * IDENTITY_CONSTANT * b0**3) * pow(24 * b0 * b0, -1, 25) % 25
         )
         lifts = [b0 + 5 * t for t in range(5)]
-        values = [_q0(r, b) for b in lifts]
+        values = [residual_class(r, b) for b in lifts]
         linear_ok = all(
             values[t] == (values[0] + 5 * t * derivative) % 25 for t in range(5)
         )
@@ -288,6 +288,32 @@ def _max_consecutive_ratio(elements: list[int], what: str = "the class") -> tupl
     return best_a, best_b
 
 
+def _gap_certificate(
+    kind: str,
+    modulus: int,
+    residue: int,
+    lo: int,
+    hi: int,
+    elements: list[int],
+    bound: Fraction | None,
+) -> GapCertificate:
+    """The certificate for the sorted class `elements` of `kind` in [lo, hi]."""
+    a, b = _max_consecutive_ratio(
+        elements, f"{kind} == {residue} (mod {modulus}) in [{lo}, {hi}]"
+    )
+    return GapCertificate(
+        kind=kind,
+        modulus=modulus,
+        residue=residue,
+        lo=lo,
+        hi=hi,
+        count=len(elements),
+        witness=(a, b),
+        bound=None if bound is None else (bound.numerator, bound.denominator),
+        satisfied=None if bound is None else Fraction(b, a) < bound,
+    )
+
+
 def prime_gap_certificate(
     residue: int,
     modulus: int,
@@ -306,19 +332,7 @@ def prime_gap_certificate(
         raise ValueError("need 0 <= residue < modulus")
     first = lo + (residue - lo) % modulus
     el = list(compress(range(first, hi + 1, modulus), prime_sieve(hi)[first::modulus]))
-    a, b = _max_consecutive_ratio(el, f"primes == {residue} (mod {modulus}) in [{lo}, {hi}]")
-    satisfied = None if bound is None else Fraction(b, a) < bound
-    return GapCertificate(
-        kind="primes",
-        modulus=modulus,
-        residue=residue,
-        lo=lo,
-        hi=hi,
-        count=len(el),
-        witness=(a, b),
-        bound=None if bound is None else (bound.numerator, bound.denominator),
-        satisfied=satisfied,
-    )
+    return _gap_certificate("primes", modulus, residue, lo, hi, el, bound)
 
 
 @lru_cache(maxsize=4)
@@ -345,24 +359,8 @@ def admissible_gap_certificate(
     bound: Fraction | None = None,
 ) -> GapCertificate:
     """Certificate for admissible values == class_mod_100 (mod 100) in [lo, hi]."""
-    elements = [
-        m for m in _admissible_elements(lo, hi) if m % 100 == class_mod_100
-    ]
-    a, b = _max_consecutive_ratio(
-        elements, f"admissible values == {class_mod_100} (mod 100) in [{lo}, {hi}]"
-    )
-    satisfied = None if bound is None else Fraction(b, a) < bound
-    return GapCertificate(
-        kind="admissible",
-        modulus=100,
-        residue=class_mod_100,
-        lo=lo,
-        hi=hi,
-        count=len(elements),
-        witness=(a, b),
-        bound=None if bound is None else (bound.numerator, bound.denominator),
-        satisfied=satisfied,
-    )
+    elements = [m for m in _admissible_elements(lo, hi) if m % 100 == class_mod_100]
+    return _gap_certificate("admissible", 100, class_mod_100, lo, hi, elements, bound)
 
 
 def dickson_report(limit: int) -> dict:

@@ -77,10 +77,6 @@ __all__ = [
     "verify",
 ]
 
-# candidate values examined per direct modulus scan
-DIRECT_SCAN_LIMIT = 500_000
-# candidates for the large prime examined per composite modulus scan
-PRIME_SCAN_LIMIT = 200_000
 # the composite route runs only above this: every window then lies above
 # 11 * LARGE_PRIME_FLOOR, so each steering residue gets a smooth part; a
 # smaller target, whose window lies deep inside the direct scan's range, is
@@ -336,6 +332,11 @@ def represent_ternary(q: int) -> TernaryRep:
     raise OutOfScopeError(f"no ternary witness for {q} in {tried} fibers")
 
 
+def _identity_bases(p: int, x0: int, x1: int, x2: int, x3: int) -> tuple[int, ...]:
+    """The seven bases (x0, 4p +- x1, 5p +- x2, 8p +- x3) of the identity route."""
+    return (x0, 4 * p + x1, 4 * p - x1, 5 * p + x2, 5 * p - x2, 8 * p + x3, 8 * p - x3)
+
+
 def assemble_cubes(
     n: int, p_value: int, x0: int, rep: TernaryRep
 ) -> tuple[int, int, int, int, int, int, int]:
@@ -352,9 +353,7 @@ def assemble_cubes(
         raise ConstructionError(
             f"identity does not balance: n={n}, p={p}, x0={x0}, q={q}"
         )
-    x1, x3, y = rep
-    x2 = 2 * y
-    cubes = (x0, 4 * p + x1, 4 * p - x1, 5 * p + x2, 5 * p - x2, 8 * p + x3, 8 * p - x3)
+    cubes = _identity_bases(p, x0, rep.x1, 2 * rep.y, rep.x3)
     if min(cubes) < 0:
         raise ConstructionError(f"negative cube base in {cubes}")
     if sum(c**3 for c in cubes) != n:
@@ -364,9 +363,9 @@ def assemble_cubes(
 
 def verify(cubes, n: int) -> bool:
     """True when `cubes` is a sequence of 7 nonnegative ints summing (cubed) to
-    n, an int; bools count as neither."""
+    n, an int; bools and floats count as neither."""
     cubes = tuple(cubes)
-    if type(n) is bool or len(cubes) != 7 or not all(
+    if type(n) is not int or len(cubes) != 7 or not all(
         type(c) is int and c >= 0 for c in cubes
     ):
         return False
@@ -379,8 +378,9 @@ class Trace:
     """Full audit record of one decomposition.
 
     `branch` is "construction" (identity route on n itself), "fallback"
-    (exhaustive search or stored exceptional tables), or "scaled" (any route
-    applied to n0 < n and scaled by a power of 5).  Construction-specific
+    (exhaustive search on n itself, or the stored table of 125 * n0 for an
+    exception n0 at e == 1), or "scaled" (any route applied to a smaller
+    target and scaled by a power of 5).  Construction-specific
     fields are None on the other branches.  Every factor in `p_factors` was
     proven prime when the modulus was found; recheck() needs no primality
     test.
@@ -404,11 +404,15 @@ class Trace:
     def recheck(self) -> bool:
         """Re-derive `verified` from the recorded fields alone.
 
-        Always: the seven cubes sum to n and n == n0 * 125**e.  On traces with
-        a modulus, also every step of the identity route (_route_holds).
+        Always: the seven cubes sum to n, n0 is an int, e a nonnegative int
+        and n == n0 * 125**e.  On traces with a modulus, also every step of the
+        identity route (_route_holds).
         """
         self.verified = (
             verify(self.cubes, self.n)
+            and type(self.n0) is int
+            and type(self.e) is int
+            and self.e >= 0
             and self.n0 * 125**self.e == self.n
             and (self.p_value is None or self._route_holds())
         )
@@ -430,7 +434,6 @@ class Trace:
             AuxModulus(p, factors)
         except ValueError:
             return False
-        bases = (x0, 4 * p + x1, 4 * p - x1, 5 * p + x2, 5 * p - x2, 8 * p + x3, 8 * p - x3)
         return (
             modulus_valid(n0, p)
             and x0 > 0
@@ -438,7 +441,7 @@ class Trace:
             and n0 - x0**3 - IDENTITY_CONSTANT * p**3 == 24 * p * q
             and x2 % 2 == 0
             and q == x1 * x1 + 2 * x3 * x3 + 5 * (x2 // 2) ** 2
-            and self.cubes == tuple(5**self.e * c for c in bases)
+            and self.cubes == tuple(5**self.e * c for c in _identity_bases(p, x0, x1, x2, x3))
         )
 
     def to_record(self) -> dict:
@@ -465,10 +468,10 @@ def _candidate_moduli(n: int) -> Iterator[AuxModulus]:
     """Moduli to try for n == 2 (mod 4): the direct window scan first
     (smallest admissible value wins), then, once it runs dry and n is above
     COMPOSITE_ROUTE_MIN, steered smooth composites S * l."""
-    yield from iter_moduli_direct(n, scan_limit=DIRECT_SCAN_LIMIT)
+    yield from iter_moduli_direct(n)
     if n > COMPOSITE_ROUTE_MIN:
         for b in steering_residues(n).candidates:
-            yield from iter_moduli_composite(n, b, scan_limit=PRIME_SCAN_LIMIT)
+            yield from iter_moduli_composite(n, b)
 
 
 def _construct(n: int) -> Trace | None:
@@ -507,80 +510,55 @@ def _construct(n: int) -> Trace | None:
 def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
     """Decompose n into seven nonnegative cubes with a full audit trace.
 
-    Routing: strip powers of 125; stored tables handle the scaled images of
-    the true exceptions; the identity route handles n0 == 2 (mod 4); the
-    exhaustive search covers everything else up to `search_max_n`.  Raises
-    NotRepresentableError for the 17 true exceptions, OutOfScopeError when
-    only the exhaustive search applies and n0 exceeds `search_max_n`.
+    One pipeline: write n = 125**e * n0, answer n0 by one route, then scale
+    the cubes by a power of 5 and recheck the trace once.  The route for n0:
 
-    The identity route has fixed budgets instead: DIRECT_SCAN_LIMIT
-    candidates, all below 2**modulus.DIRECT_SCAN_BITS (under psi_13, so
-    every factor is proven), per direct scan; PRIME_SCAN_LIMIT values of the
-    large prime l per composite scan (one scan per steering residue); and
-    FIBER_BUDGET fibers per modulus in the ternary step.  A modulus whose
-    residual exhausts the fibers is skipped like one whose residual is
-    excluded.
+    * one of the 17 true exceptions: NotRepresentableError when e == 0,
+      else the stored seven-cube table of 125 * n0, scaled by 5**(e-1);
+    * n0 == 2 (mod 4): the identity route, when one of its moduli works;
+    * otherwise the exhaustive search, up to n0 <= `search_max_n`
+      (OutOfScopeError above it; NotRepresentableError if it proves there
+      is no representation).  n == 0 takes this route too.
+
+    The identity route has fixed budgets, which live in the module of the
+    step they bound: modulus.DIRECT_SCAN_LIMIT candidates, all below
+    2**modulus.DIRECT_SCAN_BITS (under psi_13, so every factor is proven),
+    per direct scan; modulus.PRIME_SCAN_LIMIT values of the large prime l per
+    composite scan (one scan per steering residue); and FIBER_BUDGET fibers
+    per modulus in the ternary step.  A modulus whose residual exhausts the
+    fibers is skipped like one whose residual is excluded.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("n must be an int")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        trace = Trace(n=0, n0=0, e=0, branch="fallback", cubes=(0,) * 7)
-        trace.recheck()
-        return trace
-
-    n0, e = reduce_125(n)
-    scale = 5**e
+    n0, e = reduce_125(n) if n else (0, 0)
 
     if n0 in EXCEPTIONS:
         if e == 0:
-            raise NotRepresentableError(
-                f"{n} is not a sum of seven nonnegative cubes"
-            )
-        # 125 * n0 always has a seven-positive-cube table entry; scale it.
-        _, seven_pos = exceptional_cube_tables()[n0]
-        factor = 5 ** (e - 1)
-        trace = Trace(
-            n=n,
-            n0=n0,
-            e=e,
-            branch="fallback" if e == 1 else "scaled",
-            cubes=tuple(c * factor for c in seven_pos),
+            raise NotRepresentableError(f"{n} is not a sum of seven nonnegative cubes")
+        # 125 * n0 always has a seven-positive-cube table entry
+        cubes = exceptional_cube_tables()[n0][1]
+        trace = Trace(n=125 * n0, n0=n0, e=1, branch="fallback", cubes=cubes)
+    else:
+        trace = _construct(n0) if n0 % 4 == 2 else None
+    if trace is None:
+        try:
+            found = search_seven(n0, max_n=search_max_n)
+        except SearchLimitError:
+            raise OutOfScopeError(
+                # n itself is left out: past 4300 digits it may not convert to str
+                f"no constructive route, and n0 = n / 125**{e} exceeds the search"
+                f" budget {search_max_n}"
+            ) from None
+        if found is None:  # complete search: a genuine non-representable value
+            raise NotRepresentableError(f"{n} is not a sum of seven nonnegative cubes")
+        trace = Trace(n=n0, n0=n0, e=0, branch="fallback", cubes=found)
+
+    if trace.e < e:
+        scale = 5 ** (e - trace.e)
+        trace = replace(
+            trace, n=n, e=e, branch="scaled", cubes=tuple(c * scale for c in trace.cubes)
         )
-        trace.recheck()
-        return trace
-
-    if n0 % 4 == 2:
-        trace = _construct(n0)
-        if trace is not None:
-            if e:
-                trace = replace(
-                    trace,
-                    n=n,
-                    e=e,
-                    branch="scaled",
-                    cubes=tuple(c * scale for c in trace.cubes),
-                )
-            trace.recheck()
-            return trace
-
-    try:
-        found = search_seven(n0, max_n=search_max_n)
-    except SearchLimitError:
-        raise OutOfScopeError(
-            # n itself is left out: past 4300 digits it may not convert to str
-            f"no constructive route, and n0 = n / 125**{e} exceeds the search"
-            f" budget {search_max_n}"
-        ) from None
-    if found is None:  # complete search: a genuine non-representable value
-        raise NotRepresentableError(f"{n} is not a sum of seven nonnegative cubes")
-    trace = Trace(
-        n=n,
-        n0=n0,
-        e=e,
-        branch="scaled" if e else "fallback",
-        cubes=tuple(c * scale for c in found) if e else found,
-    )
     trace.recheck()
     return trace

@@ -44,8 +44,10 @@ from .arith import (
 
 __all__ = [
     "DIRECT_SCAN_BITS",
+    "DIRECT_SCAN_LIMIT",
     "IDENTITY_CONSTANT",
     "LARGE_PRIME_FLOOR",
+    "PRIME_SCAN_LIMIT",
     "VALID_LO",
     "VALID_HI",
     "AuxModulus",
@@ -58,6 +60,7 @@ __all__ = [
     "iter_moduli_direct",
     "modulus_interval",
     "modulus_valid",
+    "residual_class",
     "steering_residues",
     "table2_text",
 ]
@@ -82,6 +85,11 @@ _UNTRIED_SQUARE = next(p for p in count(TRIAL_DIVISION_BOUND + 1) if is_prime(p)
 # largest power of two below psi_13 (about 3.3e24), so every candidate,
 # cofactor and factorize part lies where is_prime is a proof.
 DIRECT_SCAN_BITS = 81
+
+# candidate values iter_moduli_direct examines per scan
+DIRECT_SCAN_LIMIT = 500_000
+# values of the large prime l iter_moduli_composite examines per scan
+PRIME_SCAN_LIMIT = 200_000
 
 
 class NoWindowError(Exception):
@@ -181,6 +189,12 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
     return tuple(primes) + (m,) if m % 6 == 5 else None
 
 
+def residual_class(n: int, b: int) -> int:
+    """The class of the residual (n - 1402*b**3) / (24*b) mod 25 for a modulus
+    == b (mod 25), b a unit mod 5."""
+    return (n - IDENTITY_CONSTANT * b**3) * pow(24 * b, -1, 25) % 25
+
+
 def steering_residues(n: int) -> SteeringChoice:
     """Residues b mod 25 such that steering the modulus into b keeps the
     residual quotient q out of the classes 0, 10, 15 (mod 25) that the
@@ -193,15 +207,9 @@ def steering_residues(n: int) -> SteeringChoice:
     if n % 125 == 0:
         raise ValueError("reduce factors of 125 out of n first")
     if n % 5:
-        cands = []
-        for b in range(1, 25):
-            if b % 5 == 0:
-                continue
-            if (n - IDENTITY_CONSTANT * b**3) % 5:
-                continue
-            q0 = (n - IDENTITY_CONSTANT * b**3) * pow(24 * b, -1, 25) % 25
-            if q0 in (5, 20):
-                cands.append(b)
+        # 24*b is a unit mod 25, so the class is a multiple of 5 exactly when
+        # 5 divides n - 1402*b**3
+        cands = [b for b in range(1, 25) if b % 5 and residual_class(n, b) in (5, 20)]
         if len(cands) != 2:
             raise AssertionError(f"steering residues for {n % 25} mod 25: {cands}")
         return SteeringChoice("unit", tuple(cands))
@@ -230,21 +238,21 @@ def modulus_interval(n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def iter_moduli_direct(n: int, *, scan_limit: int | None = None):
+def iter_moduli_direct(n: int):
     """Admissible moduli for n in ascending order, scanned directly.
 
     Candidates obey the size interval and m = n/2 (mod 4), and stay below
     2**DIRECT_SCAN_BITS (81 bits, below psi_13): that cap is the only size
     bound on factoring, it keeps every factor proven, and a target whose
     whole interval lies above it (about 77 digits and up) gets nothing from
-    this scan.  At most `scan_limit` candidates are examined.
+    this scan.  At most DIRECT_SCAN_LIMIT candidates are examined.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")
     lo, hi = modulus_interval(n)
     hi = min(hi, (1 << DIRECT_SCAN_BITS) - 1)
     first = lo + ((n // 2) - lo) % 4
-    for cand in range(first, hi + 1, 4)[:scan_limit]:
+    for cand in range(first, hi + 1, 4)[:DIRECT_SCAN_LIMIT]:
         fac = admissible_factors(cand)
         if fac is not None:
             yield AuxModulus(cand, fac)
@@ -361,12 +369,7 @@ LARGE_PRIME_FLOOR = 1 << 24
 _SMOOTH_PRIMES = tuple(p for p in TRIAL_LOOP_PRIMES + TRIAL_PRIMES_5_MOD_6 if p % 6 == 5 and p > 5)
 
 
-def iter_moduli_composite(
-    n: int,
-    residue_mod25: int,
-    *,
-    scan_limit: int | None = None,
-):
+def iter_moduli_composite(n: int, residue_mod25: int):
     """Moduli m = S * l with m = b (mod 25), scanned by ascending prime l.
     Needs no factorization and no big primality test.
 
@@ -381,7 +384,8 @@ def iter_moduli_composite(
     Yields nothing when the first prime of S does not fit (lo below
     p * 2**24, p = 11, or 5 when 5 | b) and, the declared edge, when the
     primes up to TRIAL_DIVISION_BOUND run out before l gets that small
-    (n above about 10**6500).  At most `scan_limit` values of l are examined.
+    (n above about 10**6500).  At most PRIME_SCAN_LIMIT values of l are
+    examined.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")
@@ -409,6 +413,6 @@ def iter_moduli_composite(
     l_lo = -(-lo // s)
     first = l_lo + (start - l_lo) % step
     factors = tuple(primes)
-    for ell in range(first, hi // s + 1, step)[:scan_limit]:
+    for ell in range(first, hi // s + 1, step)[:PRIME_SCAN_LIMIT]:
         if not has_small_factor(ell) and is_prime(ell):
             yield AuxModulus(s * ell, factors + (ell,))

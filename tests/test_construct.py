@@ -372,7 +372,7 @@ def test_composite_route_gated_by_size(monkeypatch):
         except OutOfScopeError:
             pass
     # with the direct scan emptied, the gate alone decides
-    monkeypatch.setattr(construct, "iter_moduli_direct", lambda n, scan_limit: iter(()))
+    monkeypatch.setattr(construct, "iter_moduli_direct", lambda n: iter(()))
     with pytest.raises(OutOfScopeError):
         decompose(below[0])
     above = gate + 2 - gate % 4 + 4
@@ -471,6 +471,8 @@ def test_verify_shape_checks():
     assert not verify([True, False, 0, 0, 0, 0, 0], 1)
     assert not verify((1, 0, 0, 0, 0, 0, 0), True)
     assert verify((1, 0, 0, 0, 0, 0, 0), 1)
+    # nor are floats, even integral ones
+    assert not verify((1,) * 7, 7.0)
 
 
 # -- decompose ----------------------------------------------------------------
@@ -525,6 +527,25 @@ def test_decompose_records_across_the_memo_edge_pinned():
         digest.update(json.dumps(decompose(n).to_record()).encode())
     assert digest.hexdigest() == (
         "16be14767e32301931adced8967394e50de19bf3db77647cf925b964b16f768d"
+    )
+
+
+# one target per route of decompose, each unscaled and scaled where it can be:
+# zero, the search, the identity route, the 125 * exception table at e = 1 and
+# e = 2, and a raised search cap; every record must stay byte-identical
+_ROUTING_TARGETS = (
+    0, 3, 1626, 2750, 343750, 202258, 25282250, 999999, 125 * 999999, 10**6 + 2,
+    10**18 + 2, 125 * (10**18 + 2), 10**24 + 6, 10**299 + 6,
+)
+
+
+def test_decompose_records_of_every_route_pinned():
+    digest = hashlib.sha256()
+    for n in _ROUTING_TARGETS:
+        digest.update(json.dumps(decompose(n).to_record()).encode())
+    digest.update(json.dumps(decompose(3308360150, search_max_n=10**10).to_record()).encode())
+    assert digest.hexdigest() == (
+        "7d5437922e7865ccc98c9927c9f3b4110bda1a631ccbc64eb64ff5fefc899e58"
     )
 
 
@@ -646,6 +667,9 @@ def test_trace_recheck_detects_tampering():
     tampered = {
         "n0 * 125**e != n (fallback)": replace(fallback, n0=fallback.n0 + 1),
         "n0 * 125**e != n (scaled)": replace(scaled, e=2),
+        # 875 * 125**-1 is the float 7.0, which compares equal to n = 7
+        "negative e": replace(decompose(7), n0=875, e=-1),
+        "float n0": replace(decompose(7), n0=7.0),
         "p below its window": _identity_trace(5, (5,), 2, 0, 0, 0),
         "repeated factor": _identity_trace(25, (5, 5), 152, 0, 0, 0),
         "factor 1 (mod 6)": _identity_trace(7, (7,), 44, 0, 0, 0),

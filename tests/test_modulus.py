@@ -304,11 +304,17 @@ def test_iter_moduli_direct_properties():
         next(iter_moduli_direct(10**6))  # n == 0 (mod 4)
 
 
-def test_iter_moduli_direct_scan_limit():
+def test_iter_moduli_direct_scan_limit(monkeypatch):
     n = 10**18 + 2
-    unlimited = [m.value for m in iter_moduli_direct(n)]
-    assert [m.value for m in iter_moduli_direct(n, scan_limit=10**6)] == unlimited
-    assert len([m for m in iter_moduli_direct(n, scan_limit=10)]) <= len(unlimited)
+    lo, hi = modulus_interval(n)
+    assert (hi - lo) // 4 + 1 < modulus.DIRECT_SCAN_LIMIT  # the whole window
+    whole = [m.value for m in iter_moduli_direct(n)]
+    # the bound is read at call time: 10 candidates are first, first + 4, ...
+    monkeypatch.setattr(modulus, "DIRECT_SCAN_LIMIT", 10)
+    first = lo + ((n // 2) - lo) % 4
+    limited = [m.value for m in iter_moduli_direct(n)]
+    assert limited == [v for v in whole if v < first + 40]
+    assert 0 < len(limited) < len(whole)
 
 
 def test_direct_scan_cap(monkeypatch):
