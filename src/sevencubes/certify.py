@@ -9,13 +9,16 @@ this module exists so the numerical backbone can be re-audited at will:
 * steering_table_report / steering_uniqueness_report - the 20-column table
   of residue pairs mod 25 and the exactly-two-lifts uniqueness check behind it;
 * constants_report - the handful of frozen rational inequalities;
-* window_report - the 38-entry table of admissible moduli covering all
-  nonzero residues mod 25 inside a window of ratio < 1.021;
+* find_covering_window / base_window_table - Table 2, the 38 admissible
+  moduli = 1 (mod 4) covering all nonzero residues mod 25 inside a window
+  of ratio < 1.021, read off the admissible sieve; window_report audits it;
 * prime_gap_certificate / admissible_gap_certificate - maximal consecutive
   ratios in arithmetic-progression prime lists and admissible-value lists;
 * dickson_report - the excluded set of x**2 + 2*z**2 + 5*y**2 versus a
   bitset sumset of the form's values;
-* identity_report - randomised exact checks of the six-cube identity.
+* identity_report - randomised exact checks of the six-cube identity;
+* steering_table_text / table2_text / exceptional_table_text - the three
+  packaged tables, which TABLES names with their data files.
 """
 
 from __future__ import annotations
@@ -32,24 +35,29 @@ from .construct import IDENTITY_CONSTANT, dickson_excluded
 from .modulus import (
     VALID_HI,
     VALID_LO,
-    WINDOW_RATIO_CAP,
-    base_window_table,
+    admissible_factors,
     residual_class,
     steering_residues,
-    window_bounds,
 )
+from .search import exceptional_cube_tables
 
 __all__ = [
+    "TABLES",
     "GapCertificate",
+    "NoWindowError",
     "SparseClassError",
     "admissible_gap_certificate",
+    "base_window_table",
     "constants_report",
     "dickson_report",
+    "exceptional_table_text",
+    "find_covering_window",
     "identity_report",
     "prime_gap_certificate",
     "steering_table_report",
     "steering_table_text",
     "steering_uniqueness_report",
+    "table2_text",
     "window_report",
 ]
 
@@ -58,6 +66,12 @@ __all__ = [
 _TABLE1_COLUMNS = (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 18, 19, 21, 22, 23, 24)
 _TABLE1_PLUS = (2, 21, 9, 18, 22, 1, 14, 13, 17, 6, 19, 8, 12, 11, 24, 3, 7, 16, 4, 23)
 _TABLE1_MINUS = (7, 6, 24, 13, 2, 11, 4, 8, 22, 16, 9, 3, 17, 21, 14, 23, 12, 1, 19, 18)
+
+# Table 2: the base moduli m0 are the admissible values in this class mod 4
+# inside the first window of ratio at most this cap that covers every
+# nonzero residue mod 25.
+WINDOW_RESIDUE_MOD4 = 1
+WINDOW_RATIO_CAP = Fraction(1021, 1000)
 
 
 def steering_table_report() -> dict:
@@ -196,42 +210,6 @@ def constants_report() -> dict:
     }
 
 
-def window_report() -> dict:
-    """Structural audit of the covering table of admissible moduli.
-
-    The table must contain 38 entries, all == 1 (mod 4), all inside the
-    [26141, 26669] window (ratio < 1021/1000), jointly covering every
-    nonzero residue mod 25.
-    """
-    table = base_window_table()
-    lo, hi = window_bounds()
-    entries = []
-    count = 0
-    residues_ok = True
-    for residue, values in table:
-        for value, factors in values:
-            count += 1
-            entries.append([residue, value, list(factors)])
-        residues_ok &= len(values) > 0
-    values_flat = [e[1] for e in entries]
-    checks = {
-        "count_is_38": count == 38,
-        "bounds": (lo, hi) == (26141, 26669),
-        "all_in_window": all(lo <= v <= hi for v in values_flat),
-        "all_one_mod_4": all(v % 4 == 1 for v in values_flat),
-        "all_residues_covered": residues_ok and len(table) == 24,
-        "ratio_below_cap": Fraction(hi, lo) < WINDOW_RATIO_CAP,
-    }
-    return {
-        "lo": lo,
-        "hi": hi,
-        "count": count,
-        "entries": entries,
-        "checks": checks,
-        "ok": all(checks.values()),
-    }
-
-
 @dataclass(frozen=True)
 class GapCertificate:
     """Largest consecutive ratio in a sorted residue-class list.
@@ -361,6 +339,124 @@ def admissible_gap_certificate(
     """Certificate for admissible values == class_mod_100 (mod 100) in [lo, hi]."""
     elements = [m for m in _admissible_elements(lo, hi) if m % 100 == class_mod_100]
     return _gap_certificate("admissible", 100, class_mod_100, lo, hi, elements, bound)
+
+
+class NoWindowError(Exception):
+    """No covering window exists below the search ceiling."""
+
+
+def find_covering_window(
+    residue_mod4: int,
+    ratio_cap: Fraction,
+    *,
+    ceiling: int = 100_000,
+) -> tuple[int, int]:
+    """Smallest hi such that the admissible moduli in [lo, hi], restricted
+    to the class residue_mod4 (mod 4), cover all 24 nonzero residues mod 25
+    with hi/lo <= ratio_cap; lo is then pushed as high as coverage allows.
+
+    Raises NoWindowError when no such window exists below `ceiling`.
+    """
+    if isinstance(ratio_cap, float):
+        raise TypeError("pass the ratio cap as an exact Fraction, not a float")
+    num, den = Fraction(ratio_cap).as_integer_ratio()
+    elems = [m for m in _admissible_elements(1, ceiling) if m % 4 == residue_mod4 % 4]
+    i = 0
+    for j, hi in enumerate(elems):
+        while elems[i] * num < hi * den:  # drop from the left while hi/lo > cap
+            i += 1
+        window = elems[i : j + 1]
+        if len({m % 25 for m in window}) == 24:  # admissible values are never 0 mod 25
+            while window[0] % 25 in {m % 25 for m in window[1:]}:
+                window = window[1:]
+            return window[0], hi
+    raise NoWindowError(
+        f"no window with ratio <= {ratio_cap} covering all residues below {ceiling}"
+    )
+
+
+@lru_cache(maxsize=None)
+def base_window_table() -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
+    """Base moduli m0 of the paper's two-factor route m = m0 * p (Table 2),
+    regenerated from first principles: the admissible moduli = 1 (mod 4)
+    inside the covering window, grouped by residue mod 25.
+
+    Returns ((residue, ((value, prime_factors), ...)), ...) with residues
+    1..24 ascending and values ascending inside each class.
+    """
+    lo, hi = find_covering_window(WINDOW_RESIDUE_MOD4, WINDOW_RATIO_CAP)
+    window = [m for m in _admissible_elements(lo, hi) if m % 4 == WINDOW_RESIDUE_MOD4]
+    return tuple(
+        (r, tuple((m, admissible_factors(m)) for m in window if m % 25 == r))
+        for r in range(1, 25)
+    )
+
+
+def table2_text() -> str:
+    """Render the base window as lines 'residue value factors'."""
+    lines = ["# base moduli = 1 (mod 4) covering all nonzero residues mod 25"]
+    for r, entries in base_window_table():
+        for value, fac in entries:
+            shown = "*".join(str(p) for p in fac) if fac else "1"
+            lines.append(f"{r} {value} {shown}")
+    return "\n".join(lines) + "\n"
+
+
+def window_report() -> dict:
+    """Structural audit of the covering table of admissible moduli.
+
+    The table must contain 38 entries, all == 1 (mod 4), all inside the
+    [26141, 26669] window (ratio < 1021/1000), jointly covering every
+    nonzero residue mod 25.
+    """
+    table = base_window_table()
+    lo, hi = find_covering_window(WINDOW_RESIDUE_MOD4, WINDOW_RATIO_CAP)
+    entries = []
+    count = 0
+    residues_ok = True
+    for residue, values in table:
+        for value, factors in values:
+            count += 1
+            entries.append([residue, value, list(factors)])
+        residues_ok &= len(values) > 0
+    values_flat = [e[1] for e in entries]
+    checks = {
+        "count_is_38": count == 38,
+        "bounds": (lo, hi) == (26141, 26669),
+        "all_in_window": all(lo <= v <= hi for v in values_flat),
+        "all_one_mod_4": all(v % 4 == 1 for v in values_flat),
+        "all_residues_covered": residues_ok and len(table) == 24,
+        "ratio_below_cap": Fraction(hi, lo) < WINDOW_RATIO_CAP,
+    }
+    return {
+        "lo": lo,
+        "hi": hi,
+        "count": count,
+        "entries": entries,
+        "checks": checks,
+        "ok": all(checks.values()),
+    }
+
+
+def exceptional_table_text() -> str:
+    """Render the stored decompositions as lines
+    'n0 125*n0 five_bases seven_positive_bases' (comma-separated bases)."""
+    lines = ["# exceptional n0: five-cube and seven-positive-cube forms of 125*n0"]
+    for n0, (five, seven_pos) in exceptional_cube_tables().items():
+        lines.append(
+            f"{n0} {125 * n0} "
+            f"{','.join(str(c) for c in five)} "
+            f"{','.join(str(c) for c in seven_pos)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+# The packaged tables: name -> (file under sevencubes/data, generator).
+TABLES = {
+    "table1": ("table1.txt", steering_table_text),
+    "table2": ("table2.txt", table2_text),
+    "exceptional": ("exceptional.txt", exceptional_table_text),
+}
 
 
 def dickson_report(limit: int) -> dict:

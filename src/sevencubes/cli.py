@@ -15,7 +15,6 @@ import os
 import random
 import re
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from .construct import (
@@ -24,34 +23,19 @@ from .construct import (
     decompose,
     verify,
 )
-from .modulus import table2_text
 from .search import (
     EXCEPTIONS,
     SEARCH_MAX_N,
     SearchLimitError,
     exception_scan,
     exceptional_cube_tables,
-    exceptional_table_text,
 )
 
 _SELFTEST_SEED = 20110213
 
-# `certify` is imported only by the commands that use it (certify, selftest
-# and the steering table): `decompose` never needs it, and importing it took
-# about 5% of a `decompose` cold start.
-
-
-def _steering_table_text() -> str:
-    from . import certify
-
-    return certify.steering_table_text()
-
-
-_TABLES = {
-    "table1": ("table1.txt", _steering_table_text),
-    "table2": ("table2.txt", table2_text),
-    "exceptional": ("exceptional.txt", exceptional_table_text),
-}
+# `certify` (and with it `fractions`) is imported only by the commands that
+# use it: certify, selftest and tables.  `decompose` never needs it, and
+# importing it took about 5% of a `decompose` cold start.
 
 
 def _decimal(text: str) -> int:
@@ -71,7 +55,10 @@ def _at_least(low: int):
     return parse
 
 
-def _ratio(text: str) -> Fraction:
+def _ratio(text: str):
+    """An argparse type: num/den as an exact Fraction."""
+    from fractions import Fraction
+
     m = re.fullmatch(r"([0-9]+)/([0-9]+)", text)
     if not m or int(m.group(2)) == 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a ratio of the form num/den")
@@ -112,10 +99,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    names = list(_TABLES) if args.name == "all" else [args.name]
+    from .certify import TABLES
+
+    names = list(TABLES) if args.name == "all" else [args.name]
     status = 0
     for name in names:
-        filename, generate = _TABLES[name]
+        filename, generate = TABLES[name]
         text = generate()
         if args.check:
             if _packaged_table(filename) == text:
@@ -170,6 +159,8 @@ def _gap_usage_error(args: argparse.Namespace) -> str | None:
 
 
 def _gap_reports(args: argparse.Namespace) -> list[dict]:
+    from fractions import Fraction
+
     from . import certify
 
     records = []
@@ -266,7 +257,7 @@ def _selftest_payload() -> dict:
 
     payload["tables_match"] = {
         name: _packaged_table(filename) == generate()
-        for name, (filename, generate) in _TABLES.items()
+        for name, (filename, generate) in certify.TABLES.items()
     }
 
     rng = random.Random(_SELFTEST_SEED)
@@ -389,6 +380,9 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "decompose" and args.trace and args.format == "structured":
+        parser.error("decompose: --trace applies to text output; --format structured "
+                     "already prints the full record")
     if args.command != "certify":
         return args.func(args)
     from .certify import SparseClassError

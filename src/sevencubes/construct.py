@@ -405,16 +405,28 @@ class Trace:
         """Re-derive `verified` from the recorded fields alone.
 
         Always: the seven cubes sum to n, n0 is an int, e a nonnegative int
-        and n == n0 * 125**e.  On traces with a modulus, also every step of the
-        identity route (_route_holds).
+        and n == n0 * 125**e.  On traces with a modulus, also b == p mod 25,
+        the branch "construction" (e == 0) or "scaled", and every step of the
+        identity route (_route_holds).  On the others, b is None and the
+        branch is "fallback" when e == 0 or n0 is an exception at e == 1 (the
+        stored table of 125 * n0), else "scaled".
         """
+        e = self.e
         self.verified = (
             verify(self.cubes, self.n)
             and type(self.n0) is int
-            and type(self.e) is int
-            and self.e >= 0
-            and self.n0 * 125**self.e == self.n
-            and (self.p_value is None or self._route_holds())
+            and type(e) is int
+            and e >= 0
+            and self.n0 * 125**e == self.n
+            and (
+                self.b is None
+                and self.branch
+                == ("fallback" if e == 0 or (e == 1 and self.n0 in EXCEPTIONS) else "scaled")
+                if self.p_value is None
+                else self.b == self.p_value % 25
+                and self.branch == ("scaled" if e else "construction")
+                and self._route_holds()
+            )
         )
         return self.verified
 

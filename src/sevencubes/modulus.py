@@ -16,16 +16,12 @@ below 2**81, and builds composite moduli m = S * l for targets the direct
 scan cannot reach: S is a product of small primes from the trial-division
 table and l one prime below 2**38, so nothing large is factored or tested.
 Every prime factor of every modulus is proven: all lie below psi_13 (about
-3.3e24), where is_prime's Miller-Rabin bases are deterministic.  It also
-regenerates the covering window of base moduli (Table 2) for the tables and
-certificates.
+3.3e24), where is_prime's Miller-Rabin bases are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from math import gcd
 
@@ -51,18 +47,14 @@ __all__ = [
     "VALID_LO",
     "VALID_HI",
     "AuxModulus",
-    "NoWindowError",
     "SteeringChoice",
     "admissible_factors",
-    "base_window_table",
-    "find_covering_window",
     "iter_moduli_composite",
     "iter_moduli_direct",
     "modulus_interval",
     "modulus_valid",
     "residual_class",
     "steering_residues",
-    "table2_text",
 ]
 
 # Bounds on n / m**3 for a usable modulus: the quotient
@@ -90,10 +82,6 @@ DIRECT_SCAN_BITS = 81
 DIRECT_SCAN_LIMIT = 500_000
 # values of the large prime l iter_moduli_composite examines per scan
 PRIME_SCAN_LIMIT = 200_000
-
-
-class NoWindowError(Exception):
-    """No covering window exists below the search ceiling."""
 
 
 @dataclass(frozen=True)
@@ -256,106 +244,6 @@ def iter_moduli_direct(n: int):
         fac = admissible_factors(cand)
         if fac is not None:
             yield AuxModulus(cand, fac)
-
-
-# -- the base window ---------------------------------------------------------
-
-WINDOW_RESIDUE_MOD4 = 1
-WINDOW_RATIO_CAP = Fraction(1021, 1000)
-
-
-def _iter_admissible_in_class(residue_mod4: int, ceiling: int):
-    start = residue_mod4 if residue_mod4 % 4 else 4
-    for cand in range(start, ceiling + 1, 4):
-        fac = admissible_factors(cand)
-        if fac is not None:
-            yield cand, fac
-
-
-def find_covering_window(
-    residue_mod4: int,
-    ratio_cap: Fraction,
-    *,
-    ceiling: int = 100_000,
-) -> tuple[int, int]:
-    """Smallest hi such that the admissible moduli in [lo, hi], restricted
-    to the class residue_mod4 (mod 4), cover all 24 nonzero residues mod 25
-    with hi/lo <= ratio_cap; lo is then pushed as high as coverage allows.
-
-    Raises NoWindowError when no such window exists below `ceiling`.
-    """
-    if not isinstance(ratio_cap, Fraction):
-        if isinstance(ratio_cap, float):
-            raise TypeError("pass the ratio cap as an exact Fraction, not a float")
-        ratio_cap = Fraction(ratio_cap)
-    num, den = ratio_cap.numerator, ratio_cap.denominator
-    elems: list[int] = []
-    counts = [0] * 25
-    covered = 0
-    i = 0
-    for x, _fac in _iter_admissible_in_class(residue_mod4, ceiling):
-        elems.append(x)
-        r = x % 25
-        counts[r] += 1
-        if counts[r] == 1:
-            covered += 1
-        # shrink from the left while the ratio cap is violated
-        while elems[i] * num < x * den:
-            rr = elems[i] % 25
-            counts[rr] -= 1
-            if counts[rr] == 0:
-                covered -= 1
-            i += 1
-        if covered == 24:
-            j = i
-            while counts[elems[j] % 25] > 1:
-                counts[elems[j] % 25] -= 1
-                j += 1
-            return elems[j], x
-    raise NoWindowError(
-        f"no window with ratio <= {ratio_cap} covering all residues below {ceiling}"
-    )
-
-
-@lru_cache(maxsize=None)
-def base_window_table() -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
-    """Base moduli m0 of the paper's two-factor route m = m0 * p (Table 2),
-    regenerated from first principles: the admissible moduli = 1 (mod 4)
-    inside the covering window, grouped by residue mod 25.
-
-    Returns ((residue, ((value, prime_factors), ...)), ...) with residues
-    1..24 ascending and values ascending inside each class.
-    """
-    lo, hi = find_covering_window(WINDOW_RESIDUE_MOD4, WINDOW_RATIO_CAP)
-    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {r: [] for r in range(1, 25)}
-    for value, fac in _iter_admissible_in_class(WINDOW_RESIDUE_MOD4, hi):
-        if value < lo:
-            continue
-        groups[value % 25].append((value, fac))
-    out = []
-    for r in range(1, 25):
-        if not groups[r]:
-            raise AssertionError(f"window [{lo}, {hi}] misses residue {r} mod 25")
-        out.append((r, tuple(sorted(groups[r]))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def window_bounds() -> tuple[int, int]:
-    """(min, max) over all base-window moduli."""
-    table = base_window_table()
-    values = [v for _r, entries in table for v, _f in entries]
-    return min(values), max(values)
-
-
-def table2_text() -> str:
-    """Render the base window as lines 'residue value factors'."""
-    lines = ["# base moduli = 1 (mod 4) covering all nonzero residues mod 25"]
-    for r, entries in base_window_table():
-        for value, fac in entries:
-            shown = "*".join(str(p) for p in fac) if fac else "1"
-            lines.append(f"{r} {value} {shown}")
-    return "\n".join(lines) + "\n"
 
 
 # -- the smooth composite route ---------------------------------------------

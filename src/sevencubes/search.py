@@ -27,7 +27,6 @@ __all__ = [
     "SearchLimitError",
     "exception_scan",
     "exceptional_cube_tables",
-    "exceptional_table_text",
     "search_cubes",
     "search_seven",
 ]
@@ -269,15 +268,3 @@ def exceptional_cube_tables() -> dict[int, tuple[tuple[int, ...], tuple[int, ...
         out[n0] = (five, seven_pos)
     return out
 
-
-def exceptional_table_text() -> str:
-    """Render the stored decompositions as lines
-    'n0 125*n0 five_bases seven_positive_bases' (comma-separated bases)."""
-    lines = ["# exceptional n0: five-cube and seven-positive-cube forms of 125*n0"]
-    for n0, (five, seven_pos) in exceptional_cube_tables().items():
-        lines.append(
-            f"{n0} {125 * n0} "
-            f"{','.join(str(c) for c in five)} "
-            f"{','.join(str(c) for c in seven_pos)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -16,8 +16,10 @@ import pytest
 
 from sevencubes.certify import (
     admissible_gap_certificate,
+    base_window_table,
     constants_report,
     dickson_report,
+    find_covering_window,
     identity_report,
     prime_gap_certificate,
     steering_table_report,
@@ -31,7 +33,7 @@ from sevencubes.construct import (
     decompose,
     dickson_excluded,
 )
-from sevencubes.modulus import base_window_table, find_covering_window, modulus_interval
+from sevencubes.modulus import modulus_interval
 from sevencubes.search import EXCEPTIONS, EXCEPTIONS_EVEN, exception_scan
 
 EXPECTED_EXCEPTIONS = [

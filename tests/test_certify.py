@@ -2,8 +2,9 @@
 
 Every report is checked for internal `ok` flags plus at least one value
 frozen from an independent computation: the steering pair for residue 1,
-the closed-form count of excluded ternary targets, the exact gap witnesses
-below 10**5, and the two window bound constants recomputed from scratch.
+the covering table of base moduli (Table 2), the closed-form count of
+excluded ternary targets, the exact gap witnesses below 10**5, and the two
+window bound constants recomputed from scratch.
 """
 
 import json
@@ -13,21 +14,56 @@ import pytest
 
 from sevencubes.arith import primes_upto
 from sevencubes.certify import (
+    WINDOW_RATIO_CAP,
+    WINDOW_RESIDUE_MOD4,
     GapCertificate,
+    NoWindowError,
     SparseClassError,
     _admissible_elements,
     _max_consecutive_ratio,
     admissible_gap_certificate,
+    base_window_table,
     constants_report,
     dickson_report,
+    find_covering_window,
     identity_report,
     prime_gap_certificate,
     steering_table_report,
     steering_table_text,
     steering_uniqueness_report,
+    table2_text,
     window_report,
 )
 from sevencubes.modulus import admissible_factors
+
+# Frozen covering table: residue mod 25 -> ((value, factors), ...) for the
+# window [26141, 26669]; 38 entries, every value == 1 (mod 4).
+FROZEN_TABLE2 = {
+    1: ((26401, (17, 1553)), (26501, (26501,))),
+    2: ((26177, (26177,)), (26477, (11, 29, 83))),
+    3: ((26153, (26153,)), (26653, (11, 2423))),
+    4: ((26329, (113, 233)),),
+    5: ((26305, (5, 5261)),),
+    6: ((26281, (41, 641)),),
+    7: ((26357, (26357,)),),
+    8: ((26633, (26633,)),),
+    9: ((26309, (26309,)), (26609, (11, 41, 59))),
+    10: ((26185, (5, 5237)), (26485, (5, 5297))),
+    11: ((26261, (26261,)), (26461, (47, 563)), (26561, (26561,))),
+    12: ((26237, (26237,)),),
+    13: ((26513, (26513,)),),
+    14: ((26189, (26189,)), (26389, (11, 2399)), (26489, (26489,))),
+    15: ((26365, (5, 5273)), (26665, (5, 5333))),
+    16: ((26141, (26141,)),),
+    17: ((26417, (26417,)),),
+    18: ((26393, (26393,)),),
+    19: ((26669, (26669,)),),
+    20: ((26345, (5, 11, 479)), (26545, (5, 5309))),
+    21: ((26321, (26321,)), (26521, (11, 2411))),
+    22: ((26297, (26297,)), (26597, (26597,))),
+    23: ((26473, (23, 1151)), (26573, (26573,))),
+    24: ((26249, (26249,)),),
+}
 
 
 # -- steering table -------------------------------------------------------
@@ -97,6 +133,40 @@ def test_window_report():
     assert report["ok"] is True
     assert (report["lo"], report["hi"], report["count"]) == (26141, 26669, 38)
     assert all(report["checks"].values())
+
+
+def test_find_covering_window_frozen():
+    assert find_covering_window(1, Fraction(1021, 1000)) == (26141, 26669)
+    assert WINDOW_RESIDUE_MOD4 == 1
+    assert WINDOW_RATIO_CAP == Fraction(1021, 1000)
+
+
+def test_find_covering_window_rejects_floats():
+    with pytest.raises(TypeError):
+        find_covering_window(1, 1.021)
+
+
+def test_find_covering_window_unreachable_cap():
+    with pytest.raises(NoWindowError):
+        find_covering_window(1, Fraction(1021, 1000), ceiling=26000)
+
+
+def test_base_window_table_matches_frozen():
+    table = dict(base_window_table())
+    assert set(table) == set(range(1, 25))
+    for residue, entries in FROZEN_TABLE2.items():
+        assert table[residue] == entries, residue
+    assert sum(len(v) for v in table.values()) == 38
+    flat = [value for entries in table.values() for value, _ in entries]
+    assert all(v % 4 == 1 for v in flat)
+    assert all(26141 <= v <= 26669 for v in flat)
+
+
+def test_table2_text_layout():
+    lines = table2_text().strip().splitlines()
+    assert lines[0].startswith("#") and len(lines) == 39
+    assert lines[1].split() == ["1", "26401", "17*1553"]
+    assert lines[-1].split() == ["24", "26249", "26249"]
 
 
 # -- identity sampling ----------------------------------------------------

@@ -305,15 +305,16 @@ def test_decompose_command_never_imports_numpy():
 
 
 def test_decompose_command_never_imports_certify():
-    # certify is imported only by the commands that use it
+    # certify is imported only by the commands that use it, and fractions
+    # (which brings in decimal) only with certify or a ratio argument
     code = (
         "import sys\n"
         "from sevencubes.cli import main\n"
-        "for argv in (['decompose', str(10**39 + 2)], ['tables', 'table2'], ['verify', '7'] + ['1'] * 7):\n"
+        "for argv in (['decompose', str(10**39 + 2)], ['verify', '7'] + ['1'] * 7):\n"
         "    main(argv)\n"
-        "print('sevencubes.certify' in sys.modules)\n"
+        "print([m in sys.modules for m in ('sevencubes.certify', 'fractions', 'decimal')])\n"
     )
-    assert _python("-c", code).splitlines()[-1] == b"False"
+    assert _python("-c", code).splitlines()[-1] == b"[False, False, False]"
 
 
 def test_decompose_into_a_closed_pipe_ends_quietly():
@@ -356,6 +357,7 @@ def test_decompose_above_the_composite_edge_exits_3():
     "certify gaps --set admissible --lo 382670 --hi 382700",
     "certify identity --samples -5",
     "decompose 999999 --budget-search -5",
+    "decompose 202258 --format structured --trace",
 ])
 def test_out_of_range_arguments_are_usage_errors(argv):
     proc = _interpreter("-m", "sevencubes", *argv.split())

@@ -682,6 +682,10 @@ def test_trace_recheck_detects_tampering():
         "odd x2": replace(real, x2=real.x2 + 1),
         "witness does not give q": replace(real, x3=real.x3 + 1),
         "bases reordered": replace(real, cubes=real.cubes[::-1]),
+        "construction branch without a modulus": replace(decompose(7), branch="construction"),
+        "scaled branch for the table of 125 * 22": replace(decompose(2750), branch="scaled"),
+        "fallback branch with a modulus": replace(real, branch="fallback"),
+        "b is not p mod 25": replace(real, b=real.b + 1),
     }
     for why, tr in tampered.items():
         assert verify(tr.cubes, tr.n), why  # the cube sum alone misses each one

@@ -1,12 +1,11 @@
 """Residue planner tests.
 
-The covering table below is frozen from an independent computation and the
-steering oracle is a from-scratch reimplementation of the selection rule;
-the module under test must reproduce both exactly.
+The steering oracle is a from-scratch reimplementation of the selection
+rule, and admissibility is checked against plain trial division; the module
+under test must reproduce both exactly.
 """
 
 import random
-from fractions import Fraction
 from itertools import count
 from math import prod
 
@@ -20,50 +19,14 @@ from sevencubes.modulus import (
     LARGE_PRIME_FLOOR,
     VALID_HI,
     VALID_LO,
-    WINDOW_RATIO_CAP,
-    WINDOW_RESIDUE_MOD4,
     AuxModulus,
-    NoWindowError,
     admissible_factors,
-    base_window_table,
-    find_covering_window,
     iter_moduli_composite,
     iter_moduli_direct,
     modulus_interval,
     modulus_valid,
     steering_residues,
-    table2_text,
-    window_bounds,
 )
-
-# Frozen covering table: residue mod 25 -> ((value, factors), ...) for the
-# window [26141, 26669]; 38 entries, every value == 1 (mod 4).
-FROZEN_TABLE2 = {
-    1: ((26401, (17, 1553)), (26501, (26501,))),
-    2: ((26177, (26177,)), (26477, (11, 29, 83))),
-    3: ((26153, (26153,)), (26653, (11, 2423))),
-    4: ((26329, (113, 233)),),
-    5: ((26305, (5, 5261)),),
-    6: ((26281, (41, 641)),),
-    7: ((26357, (26357,)),),
-    8: ((26633, (26633,)),),
-    9: ((26309, (26309,)), (26609, (11, 41, 59))),
-    10: ((26185, (5, 5237)), (26485, (5, 5297))),
-    11: ((26261, (26261,)), (26461, (47, 563)), (26561, (26561,))),
-    12: ((26237, (26237,)),),
-    13: ((26513, (26513,)),),
-    14: ((26189, (26189,)), (26389, (11, 2399)), (26489, (26489,))),
-    15: ((26365, (5, 5273)), (26665, (5, 5333))),
-    16: ((26141, (26141,)),),
-    17: ((26417, (26417,)),),
-    18: ((26393, (26393,)),),
-    19: ((26669, (26669,)),),
-    20: ((26345, (5, 11, 479)), (26545, (5, 5309))),
-    21: ((26321, (26321,)), (26521, (11, 2411))),
-    22: ((26297, (26297,)), (26597, (26597,))),
-    23: ((26473, (23, 1151)), (26573, (26573,))),
-    24: ((26249, (26249,)),),
-}
 
 
 def naive_admissible_factors(n):
@@ -364,44 +327,6 @@ def test_direct_scan_cap_lies_below_psi_13():
     # candidate, cofactor and factorize part is in is_prime's proven range
     bits = modulus.DIRECT_SCAN_BITS
     assert 2**bits < _MR_PSI[-1] < 2 ** (bits + 1)
-
-
-# -- covering window ----------------------------------------------------------
-
-
-def test_find_covering_window_frozen():
-    assert find_covering_window(1, Fraction(1021, 1000)) == (26141, 26669)
-    assert WINDOW_RESIDUE_MOD4 == 1
-    assert WINDOW_RATIO_CAP == Fraction(1021, 1000)
-
-
-def test_find_covering_window_rejects_floats():
-    with pytest.raises(TypeError):
-        find_covering_window(1, 1.021)
-
-
-def test_find_covering_window_unreachable_cap():
-    with pytest.raises(NoWindowError):
-        find_covering_window(1, Fraction(1021, 1000), ceiling=26000)
-
-
-def test_base_window_table_matches_frozen():
-    table = dict(base_window_table())
-    assert set(table) == set(range(1, 25))
-    for residue, entries in FROZEN_TABLE2.items():
-        assert table[residue] == entries, residue
-    assert sum(len(v) for v in table.values()) == 38
-    assert window_bounds() == (26141, 26669)
-    flat = [value for entries in table.values() for value, _ in entries]
-    assert all(v % 4 == 1 for v in flat)
-    assert all(26141 <= v <= 26669 for v in flat)
-
-
-def test_table2_text_layout():
-    lines = table2_text().strip().splitlines()
-    assert lines[0].startswith("#") and len(lines) == 39
-    assert lines[1].split() == ["1", "26401", "17*1553"]
-    assert lines[-1].split() == ["24", "26249", "26249"]
 
 
 # -- composite route ----------------------------------------------------------

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from sevencubes import search
 from sevencubes.arith import integer_cbrt
+from sevencubes.certify import exceptional_table_text
 from sevencubes.search import (
     EXCEPTIONS,
     EXCEPTIONS_EVEN,
     SearchLimitError,
     exception_scan,
     exceptional_cube_tables,
-    exceptional_table_text,
     _Tables,
     _tables,
     search_cubes,
