@@ -1,7 +1,7 @@
-"""Exact integer arithmetic: prime sieving, primality tests, factorization,
-integer roots, integer bitsets, Chinese remaindering, and cube roots to
-moduli of the form 6n with n a squarefree product of primes congruent to
-5 mod 6.
+"""Exact integer arithmetic: prime sieving, primality tests, factorization
+within a step budget, integer roots, integer bitsets, Chinese remaindering,
+and cube roots to moduli of the form 6n with n a squarefree product of
+primes congruent to 5 mod 6.
 
 Everything operates on plain Python ints (arbitrary precision).  Integers
 serialize as decimal strings with no separators.
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress
 from typing import Iterable, Sequence
 
 __all__ = [
+    "RHO_STEP_BUDGET",
     "TRIAL_DIVISION_BOUND",
     "TRIAL_LOOP_PRIMES",
     "TRIAL_PRIMES_5_MOD_6",
@@ -61,6 +62,17 @@ _MR_PSI = (
 # loop and two gcds (see TRIAL_LOOP_PRIMES); factorize takes only the
 # cofactors that have none of them
 TRIAL_DIVISION_BOUND = 10_000
+
+# Steps of y <- y*y + c that Pollard rho may take to split one value, summed
+# over its increments c; past it factorize gives up, and the direct scan
+# skips the candidate.  Rho finds a prime p in about sqrt(p) steps: 1024
+# split off 98% of the primes in [10**4, 10**5), 44% in [10**5, 10**6) and
+# 6% in [10**6, 10**7) (2000 of each), where two primes near 2**40 take
+# about 10**6.  Chosen from the measured curve on 1720 construct-workload
+# targets: 570-610 decompositions/s unbounded, 1030-1210 at 4096, 1430-1500
+# at 2048, 1580-1700 at 1024 and 1930 at 512, with 34, 73, 118 and 184 of
+# the 1720 moduli changed; halving past 1024 gains less and changes more.
+RHO_STEP_BUDGET = 1024
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -175,41 +187,48 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_cycle(n: int, c: int) -> int:
-    """One Pollard-rho round (Brent's cycle finding) with increment c.
-    Returns a nontrivial factor, or 0 if this increment fails."""
-    y, r, q, g = 2, 1, 1, 1
-    x = ys = y
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(128, r - k)):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = math.gcd(q, n)
-            k += 128
-        r <<= 1
-    if g == n:
-        g = 1
-        y = ys
-        while g == 1:
-            y = (y * y + c) % n
-            g = math.gcd(x - y, n)
-    return 0 if g == n else g
-
-
 def _pollard_brent(n: int) -> int:
-    # n odd, composite, with no factors below the trial-division bound;
-    # increments are tried in a fixed order so results are reproducible
-    for c in count(1):
-        g = _brent_cycle(n, c)
-        if g:
+    """A nontrivial factor of n found within RHO_STEP_BUDGET steps of
+    y <- y*y + c, counted over every increment c; 0 when the budget runs out.
+
+    n is odd and composite, with no factor up to the trial-division bound.
+    Pollard rho with Brent's cycle finding (Brent 1980): stages of doubling
+    length r, the products of x - y taken 128 at a time, and a step-by-step
+    retrace of the last batch when its gcd is n.  Increments are tried in
+    the fixed order 1, 2, ... so results are reproducible.
+    """
+    left = RHO_STEP_BUDGET
+    c = 0
+    while left > 0:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1 and left > 0:
+            x = y
+            for _ in range(min(r, left)):
+                y = (y * y + c) % n
+            left -= r
+            k = 0
+            while k < r and g == 1 and left > 0:
+                ys = y
+                batch = min(128, r - k, left)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+                left -= batch
+            r <<= 1
+        if g == n:
+            g = 1
+            y = ys
+            while g == 1 and left > 0:
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                left -= 1
+        if 1 < g < n:
             return g
-    raise AssertionError("unreachable")
+    return 0
 
 
 # The trial primes as modulus.admissible_factors takes them: a loop over those
@@ -225,14 +244,18 @@ _TRIAL_PRODUCT = math.prod(TRIAL_LOOP_PRIMES) * TRIAL_PRODUCT_1_MOD_6 * TRIAL_PR
 del _trial_primes
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Full factorization of n as a sorted list of (prime, exponent).
+def factorize(n: int) -> list[tuple[int, int]] | None:
+    """Full factorization of n as a sorted list of (prime, exponent), or
+    None when a composite part does not split within RHO_STEP_BUDGET steps.
 
     Precondition: n >= 1 has no prime factor up to TRIAL_DIVISION_BOUND, as
     the cofactor modulus.admissible_factors leaves after its trial division,
     and n < psi_13, so is_prime proves every part.  Pollard rho splits n
-    until every part passes is_prime.  Raises ValueError on an input that
-    breaks the precondition.
+    until every part passes is_prime.  Every part exceeds 10**4, so n has at
+    most 6 prime factors and takes at most 5 splits: a call runs at most
+    5 * RHO_STEP_BUDGET rho steps.  The modulus scan built on it thus takes
+    the smallest candidate certified within the budget.  Raises ValueError
+    on an input that breaks the precondition.
     """
     if n < 1 or n >= _MR_PSI[-1] or math.gcd(n, _TRIAL_PRODUCT) != 1:
         raise ValueError(
@@ -247,6 +270,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
             counts[v] = counts.get(v, 0) + 1
             continue
         g = _pollard_brent(v)
+        if not g:
+            return None
         stack.append(g)
         stack.append(v // g)
     factors = sorted(counts.items())

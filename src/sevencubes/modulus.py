@@ -12,9 +12,11 @@ input n = 2 (mod 4) the construction needs
                                           ternary form cannot represent)
 
 This module picks steering residues, scans the valid interval directly
-below 2**81, and builds composite moduli m = S * l for targets the direct
-scan cannot reach: S is a product of small primes from the trial-division
-table and l one prime below 2**38, so nothing large is factored or tested.
+below 2**81 (taking the smallest candidate certified within
+arith.RHO_STEP_BUDGET Pollard rho steps per split), and builds composite
+moduli m = S * l for targets the direct scan cannot reach: S is a product
+of small primes from the trial-division table and l one prime below 2**38,
+so nothing large is factored or tested.
 Every prime factor of every modulus is proven: all lie below psi_13 (about
 3.3e24), where is_prime's Miller-Rabin bases are deterministic.
 """
@@ -118,7 +120,8 @@ class SteeringChoice:
 
 
 def admissible_factors(n: int) -> tuple[int, ...] | None:
-    """The prime factors of n if n is an admissible modulus, else None.
+    """The prime factors of n if n is an admissible modulus certified within
+    the budget, else None.
 
     Admissible: squarefree with every prime factor congruent to 5 mod 6.
     The empty product n = 1 is admissible.  Raises ValueError for n < 1 and
@@ -131,7 +134,9 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
     are 5 (mod 6), which collects them.  A small factor that is 2, 3,
     1 (mod 6) or repeated rejects n.  The cofactor left has no trial prime
     factor; below 10007**2 it is 1 or a prime, above it one primality test
-    decides it, and only a composite cofactor is factorized.
+    decides it, and only a composite cofactor is factorized.  When that
+    cofactor does not split within arith.RHO_STEP_BUDGET Pollard rho steps,
+    n is not certified and the answer is None, admissible or not.
     """
     if n < 1:
         raise ValueError("modulus candidates must be positive")
@@ -168,7 +173,7 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
             primes.append(g)
         if m >= _UNTRIED_SQUARE and not is_prime(m):
             fac = factorize(m)
-            if all(e == 1 and p % 6 == 5 for p, e in fac):
+            if fac is not None and all(e == 1 and p % 6 == 5 for p, e in fac):
                 return tuple(primes) + tuple(p for p, _ in fac)
             return None
     # m is 1 or a prime above every trial factor
@@ -227,7 +232,10 @@ def modulus_interval(n: int) -> tuple[int, int]:
 
 
 def iter_moduli_direct(n: int):
-    """Admissible moduli for n in ascending order, scanned directly.
+    """Admissible moduli for n in ascending order, scanned directly: the
+    first is the smallest candidate certified within the budget, and a
+    candidate whose cofactor does not split within arith.RHO_STEP_BUDGET
+    Pollard rho steps is skipped.
 
     Candidates obey the size interval and m = n/2 (mod 4), and stay below
     2**DIRECT_SCAN_BITS (81 bits, below psi_13): that cap is the only size

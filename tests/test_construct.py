@@ -318,6 +318,27 @@ def test_every_modulus_factor_is_below_psi_13():
         assert max(tr.p_factors) < 2**38, target
 
 
+def test_decompose_keeps_its_modulus_past_uncertified_candidates(monkeypatch):
+    # a 75-digit target whose direct scan meets two candidates with composite
+    # cofactors (75 and 80 bits) before its modulus; splitting them fully
+    # takes 0.7-1 s, only to reject both.  Within arith.RHO_STEP_BUDGET
+    # factorize gives up on each, and the scan reaches the same modulus,
+    # 167 * 4866499547108877360821
+    n = 958696032065439417300228502276629969866955385103362688738432078633236126958
+    results = []
+
+    def recording_factorize(m):
+        results.append(arith.factorize(m))
+        return results[-1]
+
+    monkeypatch.setattr("sevencubes.modulus.factorize", recording_factorize)
+    tr = decompose(n)
+    assert tr.branch == "construction" and tr.verified
+    assert tr.p_value == 812705424367182519257107
+    assert tr.p_factors == (167, 4866499547108877360821)
+    assert results == [None, None]
+
+
 @pytest.mark.parametrize("v", [0, 1, 2], ids=["unit", "five", "twentyfive"])
 def test_decompose_composite_route_every_branch(v):
     n = 10**299 + 6

@@ -6,7 +6,7 @@ under test must reproduce both exactly.
 """
 
 import random
-from itertools import count
+from itertools import count, islice
 from math import prod
 
 import pytest
@@ -126,6 +126,22 @@ def test_admissible_factors_tests_only_cofactors_past_the_untried_square(monkeyp
     assert admissible_factors(11 * 100140049) is None  # = 10007**2
     assert admissible_factors(11 * 100140059) == (11, 100140059)  # the next prime, = 5 (mod 6)
     assert tested == [10007**2, 100140059]
+
+
+def test_admissible_factors_gives_up_past_the_step_budget(monkeypatch):
+    # two primes = 5 (mod 6) near 2**35: an admissible modulus, but rho would
+    # need about 2 * 10**5 steps to split it, past arith.RHO_STEP_BUDGET, so
+    # one factorize call gives up and the value is not certified
+    p, q = islice((m for m in count(2**35 - 3, -6) if naive_admissible_factors(m) == (m,)), 2)
+    calls = []
+
+    def counting_factorize(m):
+        calls.append(m)
+        return factorize(m)
+
+    monkeypatch.setattr(modulus, "factorize", counting_factorize)
+    assert admissible_factors(p * q) is None
+    assert calls == [p * q]
 
 
 def test_admissible_factors_matches_naive_seeded():
