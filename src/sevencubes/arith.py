@@ -1,7 +1,7 @@
 """Exact integer arithmetic: prime sieving, primality tests, factorization
-within a step budget, integer roots, integer bitsets, Chinese remaindering,
-and cube roots to moduli of the form 6n with n a squarefree product of
-primes congruent to 5 mod 6.
+into primes up to FACTOR_BOUND times at most one larger prime, integer
+roots, integer bitsets, Chinese remaindering, and cube roots to moduli of
+the form 6n with n a squarefree product of primes congruent to 5 mod 6.
 
 Everything operates on plain Python ints (arbitrary precision).  Integers
 serialize as decimal strings with no separators.
@@ -15,7 +15,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 __all__ = [
-    "RHO_STEP_BUDGET",
+    "FACTOR_BOUND",
     "TRIAL_DIVISION_BOUND",
     "TRIAL_LOOP_PRIMES",
     "TRIAL_PRIMES_5_MOD_6",
@@ -63,16 +63,14 @@ _MR_PSI = (
 # cofactors that have none of them
 TRIAL_DIVISION_BOUND = 10_000
 
-# Steps of y <- y*y + c that Pollard rho may take to split one value, summed
-# over its increments c; past it factorize gives up, and the direct scan
-# skips the candidate.  Rho finds a prime p in about sqrt(p) steps: 1024
-# split off 98% of the primes in [10**4, 10**5), 44% in [10**5, 10**6) and
-# 6% in [10**6, 10**7) (2000 of each), where two primes near 2**40 take
-# about 10**6.  Chosen from the measured curve on 1720 construct-workload
-# targets: 570-610 decompositions/s unbounded, 1030-1210 at 4096, 1430-1500
-# at 2048, 1580-1700 at 1024 and 1930 at 512, with 34, 73, 118 and 184 of
-# the 1720 moduli changed; halving past 1024 gains less and changes more.
-RHO_STEP_BUDGET = 1024
+# factorize splits off the primes in (TRIAL_DIVISION_BOUND, FACTOR_BOUND] by
+# one gcd with their product and accepts at most one prime above the bound;
+# past that it gives up, and the direct scan skips the candidate.  Chosen from
+# the measured curve on 1720 construct-workload targets (seed 71, CPU time of
+# three passes): 0.62-0.72 s at 2*10**4, 0.64-0.75 s at 3*10**4, 0.71-0.88 s
+# at 5*10**4 and 0.80-0.85 s at 10**5.  A larger bound skips fewer admissible
+# candidates but makes the gcd dearer.
+FACTOR_BOUND = 30_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -187,50 +185,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of n found within RHO_STEP_BUDGET steps of
-    y <- y*y + c, counted over every increment c; 0 when the budget runs out.
-
-    n is odd and composite, with no factor up to the trial-division bound.
-    Pollard rho with Brent's cycle finding (Brent 1980): stages of doubling
-    length r, the products of x - y taken 128 at a time, and a step-by-step
-    retrace of the last batch when its gcd is n.  Increments are tried in
-    the fixed order 1, 2, ... so results are reproducible.
-    """
-    left = RHO_STEP_BUDGET
-    c = 0
-    while left > 0:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1 and left > 0:
-            x = y
-            for _ in range(min(r, left)):
-                y = (y * y + c) % n
-            left -= r
-            k = 0
-            while k < r and g == 1 and left > 0:
-                ys = y
-                batch = min(128, r - k, left)
-                for _ in range(batch):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += batch
-                left -= batch
-            r <<= 1
-        if g == n:
-            g = 1
-            y = ys
-            while g == 1 and left > 0:
-                y = (y * y + c) % n
-                g = math.gcd(x - y, n)
-                left -= 1
-        if 1 < g < n:
-            return g
-    return 0
-
-
 # The trial primes as modulus.admissible_factors takes them: a loop over those
 # below 200, then one gcd with the product of the rest that are 1 (mod 6) and
 # one with the product of those that are 5 (mod 6); 2 and 3 are in the loop.
@@ -244,41 +198,60 @@ _TRIAL_PRODUCT = math.prod(TRIAL_LOOP_PRIMES) * TRIAL_PRODUCT_1_MOD_6 * TRIAL_PR
 del _trial_primes
 
 
+@lru_cache(maxsize=1)
+def _factor_table() -> tuple[tuple[int, ...], int]:
+    """The primes in (TRIAL_DIVISION_BOUND, FACTOR_BOUND] and their product,
+    built on factorize's first call (2016 primes, 28 644 bits)."""
+    primes = tuple(p for p in primes_upto(FACTOR_BOUND) if p > TRIAL_DIVISION_BOUND)
+    return primes, math.prod(primes)
+
+
 def factorize(n: int) -> list[tuple[int, int]] | None:
     """Full factorization of n as a sorted list of (prime, exponent), or
-    None when a composite part does not split within RHO_STEP_BUDGET steps.
+    None when n has two or more prime factors above FACTOR_BOUND, counted
+    with multiplicity.
 
     Precondition: n >= 1 has no prime factor up to TRIAL_DIVISION_BOUND, as
     the cofactor modulus.admissible_factors leaves after its trial division,
-    and n < psi_13, so is_prime proves every part.  Pollard rho splits n
-    until every part passes is_prime.  Every part exceeds 10**4, so n has at
-    most 6 prime factors and takes at most 5 splits: a call runs at most
-    5 * RHO_STEP_BUDGET rho steps.  The modulus scan built on it thus takes
-    the smallest candidate certified within the budget.  Raises ValueError
-    on an input that breaks the precondition.
+    and n < psi_13, so is_prime proves the part that is left.  One gcd with
+    the product of the primes up to FACTOR_BOUND collects the factors up to
+    the bound; a loop over those primes, which ends once the rest of the gcd
+    is 1 or a prime, splits it in at most pi(FACTOR_BOUND) - pi(10**4) = 2016
+    steps.  Once their powers are divided out, what is left must be 1 or a
+    prime that is_prime proves.  The modulus scan built on it thus takes the
+    smallest candidate whose cofactor splits by trial division up to
+    FACTOR_BOUND, times at most one prime.  Raises ValueError on an input
+    that breaks the precondition.
     """
     if n < 1 or n >= _MR_PSI[-1] or math.gcd(n, _TRIAL_PRODUCT) != 1:
         raise ValueError(
             f"factorize requires 1 <= n < psi_13 with no prime factor up to"
             f" {TRIAL_DIVISION_BOUND}"
         )
-    counts: dict[int, int] = {}
-    stack = [n] if n > 1 else []
-    while stack:
-        v = stack.pop()
-        if is_prime(v):
-            counts[v] = counts.get(v, 0) + 1
-            continue
-        g = _pollard_brent(v)
-        if not g:
+    primes, product = _factor_table()
+    g = math.gcd(n, product)
+    found = []
+    for p in primes:
+        if p * p > g:
+            break  # g is 1 or a prime: every smaller prime is divided out
+        if g % p == 0:
+            found.append(p)
+            g //= p
+    if g > 1:
+        found.append(g)
+    factors = []
+    for p in found:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        factors.append((p, e))
+    # n has no prime factor up to FACTOR_BOUND, so up to FACTOR_BOUND**2 it
+    # is 1 or a prime
+    if n > 1:
+        if n > FACTOR_BOUND**2 and not is_prime(n):
             return None
-        stack.append(g)
-        stack.append(v // g)
-    factors = sorted(counts.items())
-    check = 1
-    for p, e in factors:
-        check *= p**e
-    assert check == n, "factorization failed to multiply back"
+        factors.append((n, 1))
     return factors
 
 

@@ -478,8 +478,9 @@ class Trace:
 
 def _candidate_moduli(n: int) -> Iterator[AuxModulus]:
     """Moduli to try for n == 2 (mod 4): the direct window scan first (the
-    smallest candidate certified within the budget wins), then, once it runs
-    dry and n is above COMPOSITE_ROUTE_MIN, steered smooth composites S * l."""
+    smallest candidate whose factorization it certifies wins), then, once it
+    runs dry and n is above COMPOSITE_ROUTE_MIN, steered smooth composites
+    S * l."""
     yield from iter_moduli_direct(n)
     if n > COMPOSITE_ROUTE_MIN:
         for b in steering_residues(n).candidates:
@@ -535,13 +536,14 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
     The identity route has fixed budgets, which live in the module of the
     step they bound: modulus.DIRECT_SCAN_LIMIT candidates, all below
     2**modulus.DIRECT_SCAN_BITS (under psi_13, so every factor is proven),
-    per direct scan; arith.RHO_STEP_BUDGET Pollard rho steps per split of a
-    candidate's cofactor; modulus.PRIME_SCAN_LIMIT values of the large prime
-    l per composite scan (one scan per steering residue); and FIBER_BUDGET
-    fibers per modulus in the ternary step.  The direct scan thus takes the
-    smallest candidate certified within the budget: one whose cofactor does
-    not split in time is skipped, admissible or not.  A modulus whose
-    residual exhausts the fibers is skipped like one whose residual is
+    per direct scan; trial division up to arith.FACTOR_BOUND, with at most
+    one prime left above it, per candidate's cofactor; modulus.PRIME_SCAN_LIMIT
+    values of the large prime l per composite scan (one scan per steering
+    residue); and FIBER_BUDGET fibers per modulus in the ternary step.  The
+    direct scan thus takes the smallest candidate whose cofactor splits by
+    trial division up to FACTOR_BOUND, times at most one prime: one with two
+    prime factors above the bound is skipped, admissible or not.  A modulus
+    whose residual exhausts the fibers is skipped like one whose residual is
     excluded.
     """
     if not isinstance(n, int) or isinstance(n, bool):

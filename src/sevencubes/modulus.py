@@ -12,11 +12,11 @@ input n = 2 (mod 4) the construction needs
                                           ternary form cannot represent)
 
 This module picks steering residues, scans the valid interval directly
-below 2**81 (taking the smallest candidate certified within
-arith.RHO_STEP_BUDGET Pollard rho steps per split), and builds composite
-moduli m = S * l for targets the direct scan cannot reach: S is a product
-of small primes from the trial-division table and l one prime below 2**38,
-so nothing large is factored or tested.
+below 2**81 (taking the smallest candidate whose cofactor splits by trial
+division up to arith.FACTOR_BOUND, times at most one prime), and builds
+composite moduli m = S * l for targets the direct scan cannot reach: S is
+a product of small primes from the trial-division table and l one prime
+below 2**38, so nothing large is factored or tested.
 Every prime factor of every modulus is proven: all lie below psi_13 (about
 3.3e24), where is_prime's Miller-Rabin bases are deterministic.
 """
@@ -120,8 +120,9 @@ class SteeringChoice:
 
 
 def admissible_factors(n: int) -> tuple[int, ...] | None:
-    """The prime factors of n if n is an admissible modulus certified within
-    the budget, else None.
+    """The prime factors of n if n is an admissible modulus that trial
+    division up to arith.FACTOR_BOUND splits, times at most one prime, else
+    None.
 
     Admissible: squarefree with every prime factor congruent to 5 mod 6.
     The empty product n = 1 is admissible.  Raises ValueError for n < 1 and
@@ -135,8 +136,8 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
     1 (mod 6) or repeated rejects n.  The cofactor left has no trial prime
     factor; below 10007**2 it is 1 or a prime, above it one primality test
     decides it, and only a composite cofactor is factorized.  When that
-    cofactor does not split within arith.RHO_STEP_BUDGET Pollard rho steps,
-    n is not certified and the answer is None, admissible or not.
+    cofactor has two or more prime factors above arith.FACTOR_BOUND, n is
+    not certified and the answer is None, admissible or not.
     """
     if n < 1:
         raise ValueError("modulus candidates must be positive")
@@ -233,9 +234,9 @@ def modulus_interval(n: int) -> tuple[int, int]:
 
 def iter_moduli_direct(n: int):
     """Admissible moduli for n in ascending order, scanned directly: the
-    first is the smallest candidate certified within the budget, and a
-    candidate whose cofactor does not split within arith.RHO_STEP_BUDGET
-    Pollard rho steps is skipped.
+    first is the smallest candidate whose cofactor splits by trial division
+    up to arith.FACTOR_BOUND, times at most one prime, and a candidate whose
+    cofactor has two or more prime factors above that bound is skipped.
 
     Candidates obey the size interval and m = n/2 (mod 4), and stay below
     2**DIRECT_SCAN_BITS (81 bits, below psi_13): that cap is the only size

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sevencubes.arith import (
     _GCD_SIEVE_BOUND,
     _MR_PSI,
+    FACTOR_BOUND,
     TRIAL_DIVISION_BOUND,
     clear_bits,
     crt,
@@ -186,6 +187,13 @@ def test_factorize_spot_values():
     assert factorize(10007 * 10037) == [(10007, 1), (10037, 1)]
     assert factorize(10007**2) == [(10007, 2)]
     assert factorize(10009**3 * 10037) == [(10009, 3), (10037, 1)]
+    # the gcd with the primes up to FACTOR_BOUND is the composite
+    # 12 007 * 12 211, which the loop over those primes splits; the powers
+    # are divided out, and the prime near 10**12 is left
+    assert factorize(12007 * 12211) == [(12007, 1), (12211, 1)]
+    r = 999_999_999_989
+    assert naive_is_prime(r)
+    assert factorize(12007**2 * 12211 * r) == [(12007, 2), (12211, 1), (r, 1)]
 
 
 def test_factorize_rejects_bad_input():
@@ -203,31 +211,31 @@ def _prev_prime(n: int) -> int:
 
 
 def test_factorize_semiprime_beyond_trial_division():
-    # two primes near 10**8: rho needs about 10**4 steps to split either off,
-    # past RHO_STEP_BUDGET, so factorize gives up
+    # two primes near 10**8, both above FACTOR_BOUND: the gcd finds neither,
+    # and what is left is not a prime, so factorize gives up
     p = _prev_prime(10**8)
     q = _prev_prime(p - 1)
     assert factorize(p * q) is None
 
 
-def test_factorize_splits_a_factor_near_10_5():
-    # rho splits off a prime near 10**5 within the budget, while its cofactor
-    # near 10**9 alone would take about 4 * 10**4 steps.  99971 is the third
-    # prime below 10**5; the two above it need more than the budget, as do
-    # 2% of the primes in [10**4, 10**5).
-    p = 99971
+def _next_prime(n: int) -> int:
+    while not naive_is_prime(n):
+        n += 1
+    return n
+
+
+def test_factorize_splits_at_the_factor_bound():
+    # the largest prime up to FACTOR_BOUND is split off by the gcd and leaves
+    # a prime near 10**9; the first prime past the bound leaves a composite
+    p = _prev_prime(FACTOR_BOUND)
     q = _prev_prime(10**9)
-    assert [m for m in range(p, 10**5) if naive_is_prime(m)] == [p, 99989, 99991]
     assert factorize(p * q) == [(p, 1), (q, 1)]
-    assert factorize(99991 * q) is None
+    assert factorize(_next_prime(FACTOR_BOUND + 1) * q) is None
 
 
-# The trial-bound primes below 12 211, where RHO_STEP_BUDGET splits every
-# product: checked for every pair and every power up to the fifth, and on
-# 500 000 random lists of this test's shape.  The pair 12 007 * 12 211 is the
-# first that does not split: both primes meet their rho cycle at the same
-# step for c = 1, and c = 2 does not finish in what is left of the budget.
-_PRIMES_PAST_TRIAL_BOUND = [p for p in primes_upto(12_210) if p > TRIAL_DIVISION_BOUND]
+# The primes past the trial bound up to FACTOR_BOUND: every product of up to
+# five of them, repeats allowed, lies below psi_13 and splits exactly.
+_PRIMES_PAST_TRIAL_BOUND = [p for p in primes_upto(FACTOR_BOUND) if p > TRIAL_DIVISION_BOUND]
 
 
 @settings(max_examples=300, deadline=None)

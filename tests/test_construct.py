@@ -292,7 +292,7 @@ def test_decompose_300_digit_record_pinned():
 
 
 # an 89-digit target whose window (about 2**95) is full of candidates with
-# composite cofactors, which Pollard rho would have to split; it lies past
+# composite cofactors, which factorize would have to split; it lies past
 # 2**DIRECT_SCAN_BITS, so none is factored
 _PAST_THE_DIRECT_SCAN = int(
     "45224311216458038292176761525003882559427873509426807136010701777482448052627681566897482"
@@ -321,9 +321,9 @@ def test_every_modulus_factor_is_below_psi_13():
 def test_decompose_keeps_its_modulus_past_uncertified_candidates(monkeypatch):
     # a 75-digit target whose direct scan meets two candidates with composite
     # cofactors (75 and 80 bits) before its modulus; splitting them fully
-    # takes 0.7-1 s, only to reject both.  Within arith.RHO_STEP_BUDGET
-    # factorize gives up on each, and the scan reaches the same modulus,
-    # 167 * 4866499547108877360821
+    # takes 0.7-1 s, only to reject both.  Each has two prime factors above
+    # arith.FACTOR_BOUND, so factorize gives up on each, and the scan
+    # reaches the same modulus, 167 * 4866499547108877360821
     n = 958696032065439417300228502276629969866955385103362688738432078633236126958
     results = []
 

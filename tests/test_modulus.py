@@ -128,10 +128,10 @@ def test_admissible_factors_tests_only_cofactors_past_the_untried_square(monkeyp
     assert tested == [10007**2, 100140059]
 
 
-def test_admissible_factors_gives_up_past_the_step_budget(monkeypatch):
-    # two primes = 5 (mod 6) near 2**35: an admissible modulus, but rho would
-    # need about 2 * 10**5 steps to split it, past arith.RHO_STEP_BUDGET, so
-    # one factorize call gives up and the value is not certified
+def test_admissible_factors_gives_up_past_the_factor_bound(monkeypatch):
+    # two primes = 5 (mod 6) near 2**35: an admissible modulus, but both lie
+    # above arith.FACTOR_BOUND, so one factorize call gives up and the value
+    # is not certified
     p, q = islice((m for m in count(2**35 - 3, -6) if naive_admissible_factors(m) == (m,)), 2)
     calls = []
 
