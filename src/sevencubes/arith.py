@@ -109,11 +109,12 @@ def clear_bits(bits: int, n: int) -> list[int]:
 
 
 # One gcd with the product of the primes up to _GCD_SIEVE_BOUND rejects a
-# composite with such a factor before any modular exponentiation; about half
-# of the composites that pass is_prime's small-prime loop have one.  The gcd
-# costs more as the bound grows: timed on the inputs decompose passes to
-# is_prime, 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower,
-# and came within 7% of 10**4 on ~700-bit values.
+# composite with such a factor before any modular exponentiation.  The
+# composite modulus scan runs it on each l before is_prime, and
+# construct._binary_part on each fibre before Cornacchia.  The gcd costs more
+# as the bound grows: timed on the values decompose then passed to is_prime,
+# 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower, and came
+# within 7% of 10**4 on ~700-bit values.
 _GCD_SIEVE_BOUND = 3000
 _GCD_SIEVE_PRODUCT = math.prod(primes_upto(_GCD_SIEVE_BOUND))
 
@@ -161,7 +162,8 @@ def is_prime(n: int) -> bool:
     Miller-Rabin stops after the first k bases once n is below psi_k, the
     smallest strong pseudoprime to them, so a prime below 2.5e7 takes 3 bases
     and one below 2**64 at most 12.  Raises ValueError for n >= psi_13, where
-    the 13 bases prove nothing.
+    the 13 bases prove nothing.  Only primes up to 47 are divided out first;
+    callers remove larger small factors (has_small_factor, trial division).
     """
     if n >= _MR_PSI[-1]:
         raise ValueError(f"is_prime requires n < psi_13 = {_MR_PSI[-1]}")
@@ -172,8 +174,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if has_small_factor(n):
-        return False
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

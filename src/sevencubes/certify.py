@@ -45,7 +45,6 @@ __all__ = [
     "TABLES",
     "GapCertificate",
     "NoWindowError",
-    "SparseClassError",
     "admissible_gap_certificate",
     "base_window_table",
     "constants_report",
@@ -249,14 +248,10 @@ class GapCertificate:
         }
 
 
-class SparseClassError(ValueError):
-    """The class holds fewer than two elements in the range: no gap to measure."""
-
-
 def _max_consecutive_ratio(elements: list[int], what: str = "the class") -> tuple[int, int]:
     """First consecutive pair (a, b) maximising b/a; exact arithmetic."""
     if len(elements) < 2:
-        raise SparseClassError(
+        raise ValueError(
             f"{what} holds {len(elements)} element(s); a gap needs at least two"
         )
     best_a, best_b = elements[0], elements[1]
@@ -303,11 +298,13 @@ def prime_gap_certificate(
     """Certificate for primes == residue (mod modulus) in [lo, hi].
 
     The class is read straight out of the byte sieve; the ratio scan is exact.
+    Raises ValueError on an empty range or a class with fewer than two primes
+    in it, which every non-unit class is.
     """
     if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     if not (0 <= residue < modulus):
-        raise ValueError("need 0 <= residue < modulus")
+        raise ValueError(f"need 0 <= residue < modulus, got {residue} mod {modulus}")
     first = lo + (residue - lo) % modulus
     el = list(compress(range(first, hi + 1, modulus), prime_sieve(hi)[first::modulus]))
     return _gap_certificate("primes", modulus, residue, lo, hi, el, bound)
@@ -336,7 +333,9 @@ def admissible_gap_certificate(
     *,
     bound: Fraction | None = None,
 ) -> GapCertificate:
-    """Certificate for admissible values == class_mod_100 (mod 100) in [lo, hi]."""
+    """Certificate for admissible values == class_mod_100 (mod 100) in [lo, hi].
+    Raises ValueError when fewer than two lie there, as for an empty range or
+    a class that is even or divisible by 25."""
     elements = [m for m in _admissible_elements(lo, hi) if m % 100 == class_mod_100]
     return _gap_certificate("admissible", 100, class_mod_100, lo, hi, elements, bound)
 

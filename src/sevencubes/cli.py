@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import re
@@ -131,57 +130,29 @@ def _cmd_exceptions(args: argparse.Namespace) -> int:
     return 0
 
 
-# default [lo, hi] of the prime and of the admissible gap certificates
-_GAP_RANGES = {"primes": (26669, 10**7), "admissible": (382670, 10**6)}
-
-
-def _gap_range(args: argparse.Namespace, which: str) -> tuple[int, int]:
-    lo, hi = _GAP_RANGES[which]
-    return (lo if args.lo is None else args.lo, hi if args.hi is None else args.hi)
-
-
-def _gap_usage_error(args: argparse.Namespace) -> str | None:
-    """Why the gap options describe no certificate, or None: an empty range,
-    or a class with at most one prime or with no admissible value."""
-    for which in ("primes", "admissible"):
-        if args.which_set in (which, "both"):
-            lo, hi = _gap_range(args, which)
-            if lo >= hi:
-                return f"the {which} range needs --lo < --hi, got [{lo}, {hi}]"
-    res, mod = args.res, args.mod or 12
-    if res is None:
-        return None
-    if args.which_set != "admissible" and not (0 <= res < mod and math.gcd(res, mod) == 1):
-        return f"--res {res} is not a unit modulo --mod {mod}"
-    if args.which_set != "primes" and not (0 <= res < 100 and res % 2 and res % 25):
-        return f"--res {res} is not an odd class mod 100 prime to 25"
-    return None
-
-
-def _gap_reports(args: argparse.Namespace) -> list[dict]:
+def _gap_reports(certify, args: argparse.Namespace) -> list[dict]:
+    """The gap certificates the options name; ValueError when they name none."""
     from fractions import Fraction
 
-    from . import certify
+    def given(value, default):
+        return default if value is None else value
 
     records = []
     which = args.which_set
+    if which == "admissible" and args.mod is not None:
+        raise ValueError("--mod applies to the prime classes; admissible ones are mod 100")
     if which in ("primes", "both"):
-        bound = Fraction(1006, 1000) if args.max_ratio is None else args.max_ratio
-        lo, hi = _gap_range(args, "primes")
-        modulus = args.mod if args.mod is not None else 12
-        residues = [args.res] if args.res is not None else [5, 11]
-        for residue in residues:
-            cert = certify.prime_gap_certificate(residue, modulus, lo, hi, bound=bound)
+        bound = given(args.max_ratio, Fraction(1006, 1000))
+        lo, hi = given(args.lo, 26669), given(args.hi, 10**7)
+        for residue in [args.res] if args.res is not None else [5, 11]:
+            cert = certify.prime_gap_certificate(residue, given(args.mod, 12), lo, hi,
+                                                 bound=bound)
             records.append(cert.to_record())
     if which in ("admissible", "both"):
-        bound = Fraction(26669, 26141) if args.max_ratio is None else args.max_ratio
-        lo, hi = _gap_range(args, "admissible")
-        classes = (
-            [args.res]
-            if args.res is not None
-            else [c for c in range(1, 100, 2) if c % 25 != 0]
-        )
-        for cls in classes:
+        bound = given(args.max_ratio, Fraction(26669, 26141))
+        lo, hi = given(args.lo, 382670), given(args.hi, 10**6)
+        classes = [c for c in range(1, 100, 2) if c % 25 != 0]
+        for cls in [args.res] if args.res is not None else classes:
             cert = certify.admissible_gap_certificate(cls, lo, hi, bound=bound)
             records.append(cert.to_record())
     return records
@@ -197,25 +168,30 @@ def _all_ok(obj) -> bool:
     return True
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+# certify's reports other than gaps: name -> builder(certify module, options)
+_REPORTS = {
+    "constants": lambda certify, args: certify.constants_report(),
+    "identity": lambda certify, args: certify.identity_report(args.samples, args.seed),
+    "steering": lambda certify, args: certify.steering_table_report(),
+    "uniqueness": lambda certify, args: certify.steering_uniqueness_report(),
+    "windows": lambda certify, args: certify.window_report(),
+    "dickson": lambda certify, args: certify.dickson_report(args.limit),
+}
+
+
+def _cmd_certify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import certify
 
-    what = args.what
     reports: dict = {}
-    if what in ("constants", "all"):
-        reports["constants"] = certify.constants_report()
-    if what in ("identity", "all"):
-        reports["identity"] = certify.identity_report(args.samples, args.seed)
-    if what in ("steering", "all"):
-        reports["steering"] = certify.steering_table_report()
-    if what in ("uniqueness", "all"):
-        reports["uniqueness"] = certify.steering_uniqueness_report()
-    if what in ("windows", "all"):
-        reports["windows"] = certify.window_report()
-    if what in ("dickson", "all"):
-        reports["dickson"] = certify.dickson_report(args.limit)
-    if what in ("gaps", "all"):
-        reports["gaps"] = _gap_reports(args)
+    # first: gap options that name no certificate stop before any report runs
+    if args.what in ("gaps", "all"):
+        try:
+            reports["gaps"] = _gap_reports(certify, args)
+        except ValueError as exc:
+            parser.error(str(exc))
+    for name, build in _REPORTS.items():
+        if args.what in (name, "all"):
+            reports[name] = build(certify, args)
     print(json.dumps(reports, sort_keys=True, indent=2))
     return 0 if _all_ok(reports) else 1
 
@@ -280,20 +256,7 @@ def _selftest_payload() -> dict:
     payload["large_targets"] = {"cases": cases, "ok": bool(large_ok)}
 
     payload["ok"] = (
-        all(
-            payload[key]["ok"]
-            for key in (
-                "constants",
-                "steering_table",
-                "steering_uniqueness",
-                "windows",
-                "identity",
-                "dickson",
-                "exceptions",
-                "exceptional_tables",
-                "large_targets",
-            )
-        )
+        _all_ok(payload)
         and payload["worked_example_ok"]
         and all(payload["tables_match"].values())
     )
@@ -340,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="recompute a certificate and report ok/failed")
     c.add_argument(
         "what",
-        choices=("constants", "identity", "steering", "uniqueness", "windows",
-                 "dickson", "gaps", "all"),
+        choices=(*_REPORTS, "gaps", "all"),
     )
     c.add_argument("--samples", type=_at_least(1), default=100_000)
     c.add_argument("--seed", type=int, default=0)
@@ -354,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--hi", type=int, default=None)
     c.add_argument("--max-ratio", type=_ratio, default=None,
                    help="bound as num/den, e.g. 1006/1000")
-    c.set_defaults(func=_cmd_certify)
+    c.set_defaults(func=lambda args: _cmd_certify(args, c))
 
     s = sub.add_parser("selftest", help="deterministic end-to-end battery")
     s.set_defaults(func=_cmd_selftest)
@@ -383,15 +345,4 @@ def _run(argv) -> int:
     if args.command == "decompose" and args.trace and args.format == "structured":
         parser.error("decompose: --trace applies to text output; --format structured "
                      "already prints the full record")
-    if args.command != "certify":
-        return args.func(args)
-    from .certify import SparseClassError
-
-    if args.what in ("gaps", "all"):
-        problem = _gap_usage_error(args)
-        if problem:
-            parser.error(f"certify: {problem}")
-    try:
-        return args.func(args)
-    except SparseClassError as exc:  # the options name a class too thin to certify
-        parser.error(f"certify: {exc}")
+    return args.func(args)

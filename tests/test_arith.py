@@ -134,9 +134,9 @@ def _next_prime(n: int) -> int:
 
 
 def test_is_prime_gcd_prefilter_edges():
-    # past the small-prime loop, one gcd with the product of the primes up to
-    # _GCD_SIEVE_BOUND rejects n; at or below the bound n may be one of
-    # those primes, which must still be reported prime
+    # is_prime runs no gcd sieve of its own: past the small-prime loop,
+    # Miller-Rabin alone must reject products of the primes around
+    # _GCD_SIEVE_BOUND and report those primes themselves prime
     bound = _GCD_SIEVE_BOUND
     factors = [p for p in primes_upto(bound) if p > 47]
     assert all(is_prime(p) for p in factors)

@@ -18,7 +18,6 @@ from sevencubes.certify import (
     WINDOW_RESIDUE_MOD4,
     GapCertificate,
     NoWindowError,
-    SparseClassError,
     _admissible_elements,
     _max_consecutive_ratio,
     admissible_gap_certificate,
@@ -289,5 +288,5 @@ def test_max_consecutive_ratio_exact_tie_break():
 
 
 def test_max_consecutive_ratio_requires_two():
-    with pytest.raises(SparseClassError):
+    with pytest.raises(ValueError):
         _max_consecutive_ratio([7])

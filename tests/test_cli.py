@@ -223,6 +223,27 @@ def test_certify_ratio_argument(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    "certify all --lo 26669 --hi 26680",
+    # both prime classes hold primes in [382670, 382800]; no admissible class
+    # holds two values there
+    "certify gaps --set both --lo 382670 --hi 382800",
+    "certify all --set both --lo 382670 --hi 382800",
+])
+def test_certify_rejects_gap_options_before_any_other_report(argv, capsys, monkeypatch):
+    from sevencubes import certify
+
+    called = []
+    for name in ("constants_report", "identity_report"):
+        monkeypatch.setattr(certify, name, lambda *a, name=name, **k: called.append(name))
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and "usage:" in out.err
+    assert called == []
+
+
 # -- selftest -----------------------------------------------------------------
 
 
@@ -355,6 +376,7 @@ def test_decompose_above_the_composite_edge_exits_3():
     "certify gaps --res 3",
     "certify gaps --lo 26669 --hi 26680",
     "certify gaps --set admissible --lo 382670 --hi 382700",
+    "certify gaps --set admissible --mod 7",
     "certify identity --samples -5",
     "decompose 999999 --budget-search -5",
     "decompose 202258 --format structured --trace",
