@@ -1,7 +1,8 @@
 """Exact integer arithmetic: prime sieving, primality tests, factorization
-into primes up to FACTOR_BOUND times at most one larger prime, integer
-roots, integer bitsets, Chinese remaindering, and cube roots to moduli of
-the form 6n with n a squarefree product of primes congruent to 5 mod 6.
+of a value with a prime factor up to FACTOR_BOUND into such primes times at
+most one larger prime, integer roots, integer bitsets, Chinese remaindering,
+and cube roots to moduli of the form 6n with n a squarefree product of
+primes congruent to 5 mod 6.
 
 Everything operates on plain Python ints (arbitrary precision).  Integers
 serialize as decimal strings with no separators.
@@ -108,24 +109,34 @@ def clear_bits(bits: int, n: int) -> list[int]:
     return [i for i, bit in enumerate(digits) if bit == "0"]
 
 
-# One gcd with the product of the primes up to _GCD_SIEVE_BOUND rejects a
-# composite with such a factor before any modular exponentiation.  The
-# composite modulus scan runs it on each l before is_prime, and
-# construct._binary_part on each fibre before Cornacchia.  The gcd costs more
-# as the bound grows: timed on the values decompose then passed to is_prime,
-# 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower, and came
-# within 7% of 10**4 on ~700-bit values.
+# has_small_factor rejects a composite with a prime factor up to
+# _GCD_SIEVE_BOUND before any modular exponentiation.  The composite modulus
+# scan runs it on each l before is_prime, and construct._binary_part on each
+# fibre before Cornacchia.  Its gcd with the product of those primes costs
+# more as the bound grows: timed on the values decompose then passed to
+# is_prime, 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower,
+# and came within 7% of 10**4 on ~700-bit values.
 _GCD_SIEVE_BOUND = 3000
 _GCD_SIEVE_PRODUCT = math.prod(primes_upto(_GCD_SIEVE_BOUND))
+# 111 546 435, below 2**30, so n % _GCD_SIEVE_WORD divides by a single digit
+# of CPython's ints.  It alone settled 67% of the calls on the fibres of the
+# construct benchmark workload and 56% on huge (seed 7), each a gcd with the
+# 4330-bit product saved.  Both callers pass odd values; 2 is left to the gcd.
+_GCD_SIEVE_WORD = math.prod((3, 5, 7, 11, 13, 17, 19, 23))
 
 
 def has_small_factor(n: int) -> bool:
     """True when n > 3000 has a prime factor up to 3000: n is composite.
 
-    One gcd, no modular exponentiation.  False says nothing about n; at or
-    below the bound a common factor may be n itself, so nothing is rejected.
+    No modular exponentiation: a machine-word remainder finds a factor from
+    3 to 23, and only when it finds none does one gcd with the product of
+    the primes up to 3000 run.  False says nothing about n; at or below the
+    bound a common factor may be n itself, so nothing is rejected.
     """
-    return n > _GCD_SIEVE_BOUND and math.gcd(n, _GCD_SIEVE_PRODUCT) != 1
+    return n > _GCD_SIEVE_BOUND and (
+        math.gcd(n % _GCD_SIEVE_WORD, _GCD_SIEVE_WORD) != 1
+        or math.gcd(n, _GCD_SIEVE_PRODUCT) != 1
+    )
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -208,20 +219,23 @@ def _factor_table() -> tuple[tuple[int, ...], int]:
 
 def factorize(n: int) -> list[tuple[int, int]] | None:
     """Full factorization of n as a sorted list of (prime, exponent), or
-    None when n has two or more prime factors above FACTOR_BOUND, counted
-    with multiplicity.
+    None when n has no prime factor up to FACTOR_BOUND and n > 1, or two or
+    more prime factors above FACTOR_BOUND, counted with multiplicity.
 
     Precondition: n >= 1 has no prime factor up to TRIAL_DIVISION_BOUND, as
     the cofactor modulus.admissible_factors leaves after its trial division,
     and n < psi_13, so is_prime proves the part that is left.  One gcd with
     the product of the primes up to FACTOR_BOUND collects the factors up to
-    the bound; a loop over those primes, which ends once the rest of the gcd
-    is 1 or a prime, splits it in at most pi(FACTOR_BOUND) - pi(10**4) = 2016
-    steps.  Once their powers are divided out, what is left must be 1 or a
-    prime that is_prime proves.  The modulus scan built on it thus takes the
-    smallest candidate whose cofactor splits by trial division up to
-    FACTOR_BOUND, times at most one prime.  Raises ValueError on an input
-    that breaks the precondition.
+    the bound.  When it is 1, n is a prime above the bound or has two or
+    more prime factors above it, and the answer is None with no primality
+    test: admissible_factors proves a prime cofactor itself, and only when
+    it is 5 (mod 6).  Otherwise a loop over those primes, which ends once
+    the rest of the gcd is 1 or a prime, splits it in at most
+    pi(FACTOR_BOUND) - pi(10**4) = 2016 steps.  Once their powers are
+    divided out, what is left must be 1 or a prime that is_prime proves.
+    The modulus scan built on it thus takes the smallest candidate whose
+    cofactor splits by trial division up to FACTOR_BOUND, times at most one
+    prime.  Raises ValueError on an input that breaks the precondition.
     """
     if n < 1 or n >= _MR_PSI[-1] or math.gcd(n, _TRIAL_PRODUCT) != 1:
         raise ValueError(
@@ -230,6 +244,8 @@ def factorize(n: int) -> list[tuple[int, int]] | None:
         )
     primes, product = _factor_table()
     g = math.gcd(n, product)
+    if g == 1 and n > 1:
+        return None
     found = []
     for p in primes:
         if p * p > g:

@@ -130,27 +130,28 @@ def _cmd_exceptions(args: argparse.Namespace) -> int:
     return 0
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def _gap_reports(certify, args: argparse.Namespace) -> list[dict]:
     """The gap certificates the options name; ValueError when they name none."""
     from fractions import Fraction
 
-    def given(value, default):
-        return default if value is None else value
-
     records = []
-    which = args.which_set
+    which = _given(args.set, "primes")
     if which == "admissible" and args.mod is not None:
         raise ValueError("--mod applies to the prime classes; admissible ones are mod 100")
     if which in ("primes", "both"):
-        bound = given(args.max_ratio, Fraction(1006, 1000))
-        lo, hi = given(args.lo, 26669), given(args.hi, 10**7)
+        bound = _given(args.max_ratio, Fraction(1006, 1000))
+        lo, hi = _given(args.lo, 26669), _given(args.hi, 10**7)
         for residue in [args.res] if args.res is not None else [5, 11]:
-            cert = certify.prime_gap_certificate(residue, given(args.mod, 12), lo, hi,
+            cert = certify.prime_gap_certificate(residue, _given(args.mod, 12), lo, hi,
                                                  bound=bound)
             records.append(cert.to_record())
     if which in ("admissible", "both"):
-        bound = given(args.max_ratio, Fraction(26669, 26141))
-        lo, hi = given(args.lo, 382670), given(args.hi, 10**6)
+        bound = _given(args.max_ratio, Fraction(26669, 26141))
+        lo, hi = _given(args.lo, 382670), _given(args.hi, 10**6)
         classes = [c for c in range(1, 100, 2) if c % 25 != 0]
         for cls in [args.res] if args.res is not None else classes:
             cert = certify.admissible_gap_certificate(cls, lo, hi, bound=bound)
@@ -168,30 +169,40 @@ def _all_ok(obj) -> bool:
     return True
 
 
-# certify's reports other than gaps: name -> builder(certify module, options)
+# certify's reports: name -> (the options it reads, builder(certify module,
+# options)).  Every option defaults to None, so one given to a report that
+# does not read it is a usage error; `all` reads every option.
 _REPORTS = {
-    "constants": lambda certify, args: certify.constants_report(),
-    "identity": lambda certify, args: certify.identity_report(args.samples, args.seed),
-    "steering": lambda certify, args: certify.steering_table_report(),
-    "uniqueness": lambda certify, args: certify.steering_uniqueness_report(),
-    "windows": lambda certify, args: certify.window_report(),
-    "dickson": lambda certify, args: certify.dickson_report(args.limit),
+    "constants": ((), lambda certify, args: certify.constants_report()),
+    "identity": (("samples", "seed"), lambda certify, args: certify.identity_report(
+        _given(args.samples, 100_000), _given(args.seed, 0))),
+    "steering": ((), lambda certify, args: certify.steering_table_report()),
+    "uniqueness": ((), lambda certify, args: certify.steering_uniqueness_report()),
+    "windows": ((), lambda certify, args: certify.window_report()),
+    "dickson": (("limit",), lambda certify, args: certify.dickson_report(
+        _given(args.limit, 20_000))),
+    "gaps": (("set", "mod", "res", "lo", "hi", "max_ratio"), _gap_reports),
 }
 
 
 def _cmd_certify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import certify
 
+    names = list(_REPORTS) if args.what == "all" else [args.what]
+    for name, (options, _) in _REPORTS.items():
+        for option in options:
+            if name not in names and getattr(args, option) is not None:
+                parser.error(f"certify {args.what} does not read --{option.replace('_', '-')}")
     reports: dict = {}
-    # first: gap options that name no certificate stop before any report runs
-    if args.what in ("gaps", "all"):
+    # gaps first: options that name no certificate stop before any report runs
+    if "gaps" in names:
         try:
             reports["gaps"] = _gap_reports(certify, args)
         except ValueError as exc:
             parser.error(str(exc))
-    for name, build in _REPORTS.items():
-        if args.what in (name, "all"):
-            reports[name] = build(certify, args)
+    for name in names:
+        if name not in reports:
+            reports[name] = _REPORTS[name][1](certify, args)
     print(json.dumps(reports, sort_keys=True, indent=2))
     return 0 if _all_ok(reports) else 1
 
@@ -301,21 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=_cmd_exceptions)
 
     c = sub.add_parser("certify", help="recompute a certificate and report ok/failed")
-    c.add_argument(
-        "what",
-        choices=(*_REPORTS, "gaps", "all"),
-    )
-    c.add_argument("--samples", type=_at_least(1), default=100_000)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--limit", type=_at_least(25), default=20_000)
-    c.add_argument("--set", dest="which_set", choices=("primes", "admissible", "both"),
-                   default="primes", help="which gap certificates to compute")
-    c.add_argument("--mod", type=_at_least(1), default=None)
-    c.add_argument("--res", type=int, default=None)
-    c.add_argument("--lo", type=_at_least(1), default=None)
-    c.add_argument("--hi", type=int, default=None)
-    c.add_argument("--max-ratio", type=_ratio, default=None,
-                   help="bound as num/den, e.g. 1006/1000")
+    c.add_argument("what", choices=(*_REPORTS, "all"))
+    c.add_argument("--samples", type=_at_least(1))
+    c.add_argument("--seed", type=int)
+    c.add_argument("--limit", type=_at_least(25))
+    c.add_argument("--set", choices=("primes", "admissible", "both"),
+                   help="which gap certificates to compute")
+    c.add_argument("--mod", type=_at_least(1))
+    c.add_argument("--res", type=int)
+    c.add_argument("--lo", type=_at_least(1))
+    c.add_argument("--hi", type=int)
+    c.add_argument("--max-ratio", type=_ratio, help="bound as num/den, e.g. 1006/1000")
     c.set_defaults(func=lambda args: _cmd_certify(args, c))
 
     s = sub.add_parser("selftest", help="deterministic end-to-end battery")

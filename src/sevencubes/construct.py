@@ -226,10 +226,11 @@ def _binary_part(m: int) -> tuple[int, int] | None:
     Accepts 0, perfect squares, and 4**j times 2, an odd t == 1, 3 (mod 8),
     or twice such a t (the form scales by 4, and 2*(a*a + 2*b*b) ==
     (2b)**2 + 2*a*a), when _cornacchia_two finds t's pair.  The identity
-    checked there certifies the pair; no prime is proven.  One gcd first
-    rejects t with a prime factor up to 3000, which would cost Cornacchia a
-    modular exponentiation.  None is not a proof that m has no such form,
-    only that this shortcut finds none.
+    checked there certifies the pair; no prime is proven.  has_small_factor
+    first rejects t with a prime factor up to 3000 (one machine-word
+    remainder, then one gcd), which would cost Cornacchia a modular
+    exponentiation.  None is not a proof that m has no such form, only that
+    this shortcut finds none.
     """
     if m == 0:
         return (0, 0)

@@ -134,10 +134,12 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
     are 1 (mod 6), which rejects n, and one with the product of those that
     are 5 (mod 6), which collects them.  A small factor that is 2, 3,
     1 (mod 6) or repeated rejects n.  The cofactor left has no trial prime
-    factor; below 10007**2 it is 1 or a prime, above it one primality test
-    decides it, and only a composite cofactor is factorized.  When that
-    cofactor has two or more prime factors above arith.FACTOR_BOUND, n is
-    not certified and the answer is None, admissible or not.
+    factor; below 10007**2 it is 1 or a prime.  Above it, one primality
+    test accepts a prime cofactor = 5 (mod 6), the only admissible kind,
+    and factorize takes every other one; a prime = 1 (mod 6) stops at its
+    first gcd.  When the cofactor has two or more prime factors above
+    arith.FACTOR_BOUND, n is not certified and the answer is None,
+    admissible or not.
     """
     if n < 1:
         raise ValueError("modulus candidates must be positive")
@@ -172,7 +174,8 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
                     primes.append(p)
                     g //= p
             primes.append(g)
-        if m >= _UNTRIED_SQUARE and not is_prime(m):
+        # only a prime = 5 (mod 6) is admissible; factorize takes the rest
+        if m >= _UNTRIED_SQUARE and not (m % 6 == 5 and is_prime(m)):
             fac = factorize(m)
             if fac is not None and all(e == 1 and p % 6 == 5 for p, e in fac):
                 return tuple(primes) + tuple(p for p, _ in fac)

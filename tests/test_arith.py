@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevencubes import arith
 from sevencubes.arith import (
     _GCD_SIEVE_BOUND,
     _MR_PSI,
@@ -164,7 +165,10 @@ def test_has_small_factor_edges():
         assert has_small_factor(n) == small, n
     big = 2**89 - 1  # prime
     assert not has_small_factor(big)
-    assert all(has_small_factor(p * big) for p in (2, 47, 53, _prev_prime(bound)))
+    # every prime up to the bound: 3..23 divide the one-word screen's
+    # 3 * 5 * ... * 23, and 2 and those from 29 up are left to the gcd
+    assert all(has_small_factor(p * big) for p in small_primes)
+    assert all(has_small_factor(p * q * big) for p, q in ((3, 23), (29, 2999), (23, 2999)))
     assert not has_small_factor(_next_prime(bound + 1) * big)
 
 
@@ -231,6 +235,24 @@ def test_factorize_splits_at_the_factor_bound():
     q = _prev_prime(10**9)
     assert factorize(p * q) == [(p, 1), (q, 1)]
     assert factorize(_next_prime(FACTOR_BOUND + 1) * q) is None
+
+
+def test_factorize_answers_none_past_the_bound_without_a_primality_test(monkeypatch):
+    # with no prime factor up to FACTOR_BOUND, n is a prime above the bound
+    # or has two or more prime factors above it; the gcd is 1 and no
+    # primality test runs
+    def no_test(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr(arith, "is_prime", no_test)
+    p = _next_prime(FACTOR_BOUND + 1)
+    q = _prev_prime(10**9)
+    r = _prev_prime(q - 1)
+    for n in (p, q, p * q, q * r, p**2):
+        assert factorize(n) is None, n
+    # n = 1, and a prime up to the bound, still need no test
+    assert factorize(1) == []
+    assert factorize(_prev_prime(FACTOR_BOUND)) == [(_prev_prime(FACTOR_BOUND), 1)]
 
 
 # The primes past the trial bound up to FACTOR_BOUND: every product of up to

@@ -244,6 +244,27 @@ def test_certify_rejects_gap_options_before_any_other_report(argv, capsys, monke
     assert called == []
 
 
+def test_certify_rejects_options_the_report_does_not_read(capsys, monkeypatch):
+    from sevencubes import certify
+
+    called = []
+    monkeypatch.setattr(certify, "dickson_report", lambda *a: called.append(a))
+    for argv, option in (
+        ("certify dickson --seed 3", "--seed"),
+        ("certify dickson --limit 30 --max-ratio 1/1", "--max-ratio"),
+        ("certify identity --set both", "--set"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"does not read {option}" in out.err, argv
+    assert called == []
+    # each report's own options are read
+    code, out, _ = run(capsys, "certify", "dickson", "--limit", "30")
+    assert code == 0 and called == [(30,)]
+
+
 # -- selftest -----------------------------------------------------------------
 
 
@@ -377,6 +398,12 @@ def test_decompose_above_the_composite_edge_exits_3():
     "certify gaps --lo 26669 --hi 26680",
     "certify gaps --set admissible --lo 382670 --hi 382700",
     "certify gaps --set admissible --mod 7",
+    # an option the chosen report does not read
+    "certify constants --mod 7",
+    "certify constants --mod 7 --lo 5 --max-ratio 1/1",
+    "certify windows --samples 3",
+    "certify windows --samples 3 --set admissible",
+    "certify gaps --limit 30 --lo 26669 --hi 30000",
     "certify identity --samples -5",
     "decompose 999999 --budget-search -5",
     "decompose 202258 --format structured --trace",

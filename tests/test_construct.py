@@ -322,8 +322,11 @@ def test_decompose_keeps_its_modulus_past_uncertified_candidates(monkeypatch):
     # a 75-digit target whose direct scan meets two candidates with composite
     # cofactors (75 and 80 bits) before its modulus; splitting them fully
     # takes 0.7-1 s, only to reject both.  Each has two prime factors above
-    # arith.FACTOR_BOUND, so factorize gives up on each, and the scan
-    # reaches the same modulus, 167 * 4866499547108877360821
+    # arith.FACTOR_BOUND, so factorize gives up on each.  Between them lies
+    # the prime candidate 812705424367182519257083 = 1 (mod 6), never
+    # admissible: it gets no primality test, and factorize's gcd finds no
+    # factor and answers None.  The scan reaches the same modulus,
+    # 167 * 4866499547108877360821
     n = 958696032065439417300228502276629969866955385103362688738432078633236126958
     results = []
 
@@ -336,7 +339,7 @@ def test_decompose_keeps_its_modulus_past_uncertified_candidates(monkeypatch):
     assert tr.branch == "construction" and tr.verified
     assert tr.p_value == 812705424367182519257107
     assert tr.p_factors == (167, 4866499547108877360821)
-    assert results == [None, None]
+    assert results == [None, None, None]
 
 
 @pytest.mark.parametrize("v", [0, 1, 2], ids=["unit", "five", "twentyfive"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevencubes import modulus
+from sevencubes import decompose, modulus
 from sevencubes.arith import _MR_PSI, factorize, is_prime, primes_upto
 from sevencubes.modulus import (
     LARGE_PRIME_FLOOR,
@@ -107,13 +107,19 @@ def test_admissible_factors_each_exit_matches_naive(monkeypatch):
     monkeypatch.setattr(modulus, "factorize", counting_factorize)
     for n, expected in cases.items():
         assert admissible_factors(n) == naive_admissible_factors(n) == expected, n
-    # only composite cofactors free of trial-division factors are factorized
-    assert factorized == [10007 * 10037, 10007 * 10037, 10007 * 10009, 10007**2, 10037**2]
+    # factorize takes every cofactor past 10007**2 free of trial-division
+    # factors except a prime = 5 (mod 6): first the prime 10**9 + 9 = 1 (mod 6),
+    # which stops at factorize's gcd, then the composite ones
+    assert factorized == [
+        10**9 + 9, 10007 * 10037, 10007 * 10037, 10007 * 10009, 10007**2, 10037**2
+    ]
 
 
 def test_admissible_factors_tests_only_cofactors_past_the_untried_square(monkeypatch):
     # no composite below 10007**2 is free of trial primes, so a cofactor
-    # below it gets no primality test; above it, one
+    # below it gets no primality test; above it, only one = 5 (mod 6) gets
+    # one, since only such a prime is admissible (10007**2 = 1 (mod 6) goes
+    # to factorize untested)
     tested = []
 
     def counting_is_prime(m):
@@ -125,7 +131,26 @@ def test_admissible_factors_tests_only_cofactors_past_the_untried_square(monkeyp
     assert admissible_factors(5 * 9941 * 10007) == (5, 9941, 10007)
     assert admissible_factors(11 * 100140049) is None  # = 10007**2
     assert admissible_factors(11 * 100140059) == (11, 100140059)  # the next prime, = 5 (mod 6)
-    assert tested == [10007**2, 100140059]
+    assert tested == [100140059]
+
+
+def test_direct_scan_proves_no_cofactor_1_mod_6(monkeypatch):
+    # a prime cofactor = 1 (mod 6) can never be admissible, so the scan runs
+    # no primality test on one: over seeded 19-61 digit targets of the
+    # identity route, every cofactor is_prime sees is = 5 (mod 6)
+    tested = []
+
+    def recording_is_prime(m):
+        tested.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(modulus, "is_prime", recording_is_prime)
+    rng = random.Random(22)
+    for digits in range(19, 62):
+        for _ in range(2):
+            n = 4 * rng.randrange(10 ** (digits - 1) // 4, 10**digits // 4) + 2
+            assert decompose(n).verified
+    assert tested and all(m % 6 == 5 for m in tested)
 
 
 def test_admissible_factors_gives_up_past_the_factor_bound(monkeypatch):
