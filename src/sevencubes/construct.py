@@ -77,10 +77,10 @@ __all__ = [
     "verify",
 ]
 
-# the composite route runs only above this: every window then lies above
-# 11 * LARGE_PRIME_FLOOR, so each steering residue gets a smooth part; a
-# smaller target, whose window lies deep inside the direct scan's range, is
-# spared steering_residues and the interval
+# the size gate between the two modulus scans: above it only the composite
+# route runs, since every window lies above 11 * LARGE_PRIME_FLOOR and each
+# steering residue gets a smooth part; at or below it only the direct scan
+# runs, on a window below 1.91e8, and steering_residues is never called
 COMPOSITE_ROUTE_MIN = VALID_HI * (11 * LARGE_PRIME_FLOOR) ** 3
 
 # _sqrt_minus_two looks for a non-residue below this; for a prime modulus
@@ -478,12 +478,14 @@ class Trace:
 
 
 def _candidate_moduli(n: int) -> Iterator[AuxModulus]:
-    """Moduli to try for n == 2 (mod 4): the direct window scan first (the
-    smallest candidate whose factorization it certifies wins), then, once it
-    runs dry and n is above COMPOSITE_ROUTE_MIN, steered smooth composites
-    S * l."""
-    yield from iter_moduli_direct(n)
-    if n > COMPOSITE_ROUTE_MIN:
+    """Moduli to try for n == 2 (mod 4), from one scan chosen by size: up to
+    COMPOSITE_ROUTE_MIN the direct window scan (the smallest candidate whose
+    factorization it certifies wins), above it the steered smooth composites
+    S * l, one scan per steering residue.  Neither scan falls back on the
+    other."""
+    if n <= COMPOSITE_ROUTE_MIN:
+        yield from iter_moduli_direct(n)
+    else:
         for b in steering_residues(n).candidates:
             yield from iter_moduli_composite(n, b)
 
@@ -534,18 +536,18 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
       (OutOfScopeError above it; NotRepresentableError if it proves there
       is no representation).  n == 0 takes this route too.
 
-    The identity route has fixed budgets, which live in the module of the
-    step they bound: modulus.DIRECT_SCAN_LIMIT candidates, all below
-    2**modulus.DIRECT_SCAN_BITS (under psi_13, so every factor is proven),
-    per direct scan; trial division up to arith.FACTOR_BOUND, with at most
-    one prime left above it, per candidate's cofactor; modulus.PRIME_SCAN_LIMIT
-    values of the large prime l per composite scan (one scan per steering
-    residue); and FIBER_BUDGET fibers per modulus in the ternary step.  The
-    direct scan thus takes the smallest candidate whose cofactor splits by
-    trial division up to FACTOR_BOUND, times at most one prime: one with two
-    prime factors above the bound is skipped, admissible or not.  A modulus
-    whose residual exhausts the fibers is skipped like one whose residual is
-    excluded.
+    The identity route runs one modulus scan, chosen by size, and has fixed
+    budgets, which live in the module of the step they bound.  For n0 up to
+    COMPOSITE_ROUTE_MIN (about 1.1e28) the direct scan examines at most
+    modulus.DIRECT_SCAN_LIMIT candidates, all below 1.91e8 (far under
+    psi_13, so every factor is proven).  Each cofactor is split by trial
+    division up to arith.FACTOR_BOUND, and since 1.91e8 < 10007 *
+    FACTOR_BOUND at most one prime is left above the bound: the scan takes
+    the smallest admissible candidate.  Above the gate the composite route
+    examines at most modulus.PRIME_SCAN_LIMIT values of the large prime l
+    per steering residue, and the direct scan does not run.  The ternary
+    step tries FIBER_BUDGET fibers per modulus; a modulus whose residual
+    exhausts them is skipped like one whose residual is excluded.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("n must be an int")

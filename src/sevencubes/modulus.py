@@ -11,12 +11,15 @@ input n = 2 (mod 4) the construction needs
       residue b                          (so q dodges the classes the
                                           ternary form cannot represent)
 
-This module picks steering residues, scans the valid interval directly
-below 2**81 (taking the smallest candidate whose cofactor splits by trial
-division up to arith.FACTOR_BOUND, times at most one prime), and builds
-composite moduli m = S * l for targets the direct scan cannot reach: S is
-a product of small primes from the trial-division table and l one prime
-below 2**38, so nothing large is factored or tested.
+This module picks steering residues (for 5 not dividing n, from a table
+keyed on n mod 25) and offers the two scans construct chooses between by
+size, one per target.  Up to construct.COMPOSITE_ROUTE_MIN (about 1.1e28)
+the direct scan walks the valid interval, whose values then stay below
+1.91e8, and takes the smallest candidate whose cofactor splits by trial
+division up to arith.FACTOR_BOUND, times at most one prime.  Above it the
+composite scan builds m = S * l: S is a product of small primes from the
+trial-division table and l one prime below 2**38, so nothing large is
+factored or tested.
 Every prime factor of every modulus is proven: all lie below psi_13 (about
 3.3e24), where is_prime's Miller-Rabin bases are deterministic.
 """
@@ -24,6 +27,7 @@ Every prime factor of every modulus is proven: all lie below psi_13 (about
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
 from math import gcd
 
@@ -204,17 +208,25 @@ def steering_residues(n: int) -> SteeringChoice:
     if n % 125 == 0:
         raise ValueError("reduce factors of 125 out of n first")
     if n % 5:
-        # 24*b is a unit mod 25, so the class is a multiple of 5 exactly when
-        # 5 divides n - 1402*b**3
-        cands = [b for b in range(1, 25) if b % 5 and residual_class(n, b) in (5, 20)]
-        if len(cands) != 2:
-            raise AssertionError(f"steering residues for {n % 25} mod 25: {cands}")
-        return SteeringChoice("unit", tuple(cands))
+        return _unit_steering(n % 25)
     if n % 25:
         return SteeringChoice("five", (5, 10, 15, 20))
     if n % 125 in (25, 100):
         return SteeringChoice("twentyfive", (5, 20))
     return SteeringChoice("twentyfive", (10, 15))
+
+
+@cache
+def _unit_steering(r: int) -> SteeringChoice:
+    """steering_residues for n == r (mod 25), 5 not dividing r: residual_class
+    depends on n only mod 25, so the 20 classes form a table, each entry
+    built on first use."""
+    # 24*b is a unit mod 25, so the class is a multiple of 5 exactly when
+    # 5 divides n - 1402*b**3
+    cands = tuple(b for b in range(1, 25) if b % 5 and residual_class(r, b) in (5, 20))
+    if len(cands) != 2:
+        raise AssertionError(f"steering residues for {r} mod 25: {list(cands)}")
+    return SteeringChoice("unit", cands)
 
 
 def modulus_valid(n: int, m: int) -> bool:
@@ -245,7 +257,9 @@ def iter_moduli_direct(n: int):
     2**DIRECT_SCAN_BITS (81 bits, below psi_13): that cap is the only size
     bound on factoring, it keeps every factor proven, and a target whose
     whole interval lies above it (about 77 digits and up) gets nothing from
-    this scan.  At most DIRECT_SCAN_LIMIT candidates are examined.
+    this scan.  decompose runs it only up to construct.COMPOSITE_ROUTE_MIN,
+    on windows below 1.91e8.  At most DIRECT_SCAN_LIMIT candidates are
+    examined.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")

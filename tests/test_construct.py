@@ -37,7 +37,13 @@ from sevencubes.construct import (
     residual_quotient,
     verify,
 )
-from sevencubes.modulus import DIRECT_SCAN_BITS, AuxModulus, modulus_interval, steering_residues
+from sevencubes.modulus import (
+    DIRECT_SCAN_BITS,
+    AuxModulus,
+    iter_moduli_direct,
+    modulus_interval,
+    steering_residues,
+)
 from sevencubes.arith import primes_upto
 
 P5 = AuxModulus(5, (5,))
@@ -293,7 +299,8 @@ def test_decompose_300_digit_record_pinned():
 
 # an 89-digit target whose window (about 2**95) is full of candidates with
 # composite cofactors, which factorize would have to split; it lies past
-# 2**DIRECT_SCAN_BITS, so none is factored
+# 2**DIRECT_SCAN_BITS and above construct.COMPOSITE_ROUTE_MIN, so none is
+# factored
 _PAST_THE_DIRECT_SCAN = int(
     "45224311216458038292176761525003882559427873509426807136010701777482448052627681566897482"
 )
@@ -301,7 +308,8 @@ _PAST_THE_DIRECT_SCAN = int(
 
 def test_every_modulus_factor_is_below_psi_13():
     # every factor lies where is_prime is a proof: l < 2**38 on the composite
-    # route, and below 2**DIRECT_SCAN_BITS < psi_13 on the direct scan
+    # route, which every target here takes, being above COMPOSITE_ROUTE_MIN;
+    # test_modulus pins the direct scan's cap, 2**DIRECT_SCAN_BITS < psi_13
     psi13 = arith._MR_PSI[-1]
     n = 1786 * 26141**3 * (psi13 - 50) ** 3 - 1
     n -= (n - 2) % 4
@@ -309,8 +317,9 @@ def test_every_modulus_factor_is_below_psi_13():
         tr = decompose(target)
         assert tr.branch == "construction" and tr.verified
         assert max(tr.p_factors) < psi13, target
-    # windows above 2**DIRECT_SCAN_BITS go to the composite route, whose S
-    # starts at 11 for a unit steering residue
+    # windows above 2**DIRECT_SCAN_BITS, like every window above the gate,
+    # go to the composite route, whose S starts at 11 for a unit steering
+    # residue
     for target in (10**82 + 2, _PAST_THE_DIRECT_SCAN):
         tr = decompose(target)
         assert tr.branch == "construction" and tr.verified
@@ -320,13 +329,14 @@ def test_every_modulus_factor_is_below_psi_13():
 
 def test_decompose_keeps_its_modulus_past_uncertified_candidates(monkeypatch):
     # a 75-digit target whose direct scan meets two candidates with composite
-    # cofactors (75 and 80 bits) before its modulus; splitting them fully
-    # takes 0.7-1 s, only to reject both.  Each has two prime factors above
-    # arith.FACTOR_BOUND, so factorize gives up on each.  Between them lies
-    # the prime candidate 812705424367182519257083 = 1 (mod 6), never
+    # cofactors (75 and 80 bits) before its first modulus; splitting them
+    # fully takes 0.7-1 s, only to reject both.  Each has two prime factors
+    # above arith.FACTOR_BOUND, so factorize gives up on each.  Between them
+    # lies the prime candidate 812705424367182519257083 = 1 (mod 6), never
     # admissible: it gets no primality test, and factorize's gcd finds no
-    # factor and answers None.  The scan reaches the same modulus,
-    # 167 * 4866499547108877360821
+    # factor and answers None.  The scan reaches the modulus
+    # 167 * 4866499547108877360821.  decompose, above COMPOSITE_ROUTE_MIN,
+    # runs only the composite route: no direct scan, so factorize sees no call
     n = 958696032065439417300228502276629969866955385103362688738432078633236126958
     results = []
 
@@ -335,10 +345,13 @@ def test_decompose_keeps_its_modulus_past_uncertified_candidates(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr("sevencubes.modulus.factorize", recording_factorize)
+    assert next(iter_moduli_direct(n)) == AuxModulus(
+        812705424367182519257107, (167, 4866499547108877360821)
+    )
+    assert results == [None, None, None]
     tr = decompose(n)
     assert tr.branch == "construction" and tr.verified
-    assert tr.p_value == 812705424367182519257107
-    assert tr.p_factors == (167, 4866499547108877360821)
+    assert tr.p_factors[0] == 11 and max(tr.p_factors) < 2**38
     assert results == [None, None, None]
 
 
@@ -380,13 +393,17 @@ def test_decompose_above_the_composite_edge_is_out_of_scope():
             sys.set_int_max_str_digits(saved)
 
 
-def test_composite_route_gated_by_size(monkeypatch):
-    def refuse(n):
-        raise AssertionError("steering_residues called")
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
 
+    return refuse
+
+
+def test_composite_route_gated_by_size(monkeypatch):
     gate = construct.COMPOSITE_ROUTE_MIN
     assert 1.1e28 < gate < 1.2e28
-    monkeypatch.setattr(construct, "steering_residues", refuse)
+    monkeypatch.setattr(construct, "steering_residues", _refuse("steering_residues"))
     # just below the gate a target decomposes or falls to the search, which
     # refuses it: both without steering
     below = [gate - (gate - 2) % 4 - 4 * k for k in range(40)]
@@ -402,6 +419,36 @@ def test_composite_route_gated_by_size(monkeypatch):
     above = gate + 2 - gate % 4 + 4
     with pytest.raises(AssertionError, match="steering_residues called"):
         decompose(above)
+
+
+def test_direct_scan_never_runs_above_the_gate(monkeypatch):
+    # above the gate the composite route alone answers, with no fallback
+    monkeypatch.setattr(construct, "iter_moduli_direct", _refuse("iter_moduli_direct"))
+    gate = construct.COMPOSITE_ROUTE_MIN
+    first = gate + 2 - gate % 4
+    for n in range(first, first + 4 * 40, 4):
+        tr = decompose(n)
+        assert tr.branch == "construction" and tr.verified, n
+        assert tr.p_factors[0] == (5 if n % 5 == 0 else 11), n
+        assert max(tr.p_factors) < 2**38
+    with pytest.raises(AssertionError, match="iter_moduli_direct called"):
+        decompose(first - 4)
+
+
+def test_composite_route_covers_seeded_targets():
+    # 294 targets n = 2 (mod 4), 125 not dividing n, spread over each decade
+    # of (C, 10**3 * C] and of [10**29, 10**77]: each decomposes on the
+    # construction branch
+    rng = random.Random(2323)
+    gate = construct.COMPOSITE_ROUTE_MIN
+    bands = [(gate * 10**j, gate * 10 ** (j + 1)) for j in range(3)] * 50
+    bands += [(10**k, 10 ** (k + 1)) for k in range(29, 77)] * 3
+    for lo, hi in bands:
+        n = rng.randrange(lo, hi) // 4 * 4 + 2
+        if n % 125 == 0:
+            n += 4
+        tr = decompose(n)
+        assert tr.branch == "construction" and tr.verified and tr.recheck(), n
 
 
 def test_binary_part_shapes():

@@ -20,11 +20,13 @@ from sevencubes.modulus import (
     VALID_HI,
     VALID_LO,
     AuxModulus,
+    SteeringChoice,
     admissible_factors,
     iter_moduli_composite,
     iter_moduli_direct,
     modulus_interval,
     modulus_valid,
+    residual_class,
     steering_residues,
 )
 
@@ -259,6 +261,31 @@ def test_steering_matches_oracle_exhaustive():
         assert (choice.branch, choice.candidates) == (branch, candidates), n
         if branch == "unit":
             assert len(candidates) == 2
+
+
+def test_steering_table_matches_the_rule_at_every_size():
+    # for 5 not dividing n the answer comes from a table keyed on n mod 25;
+    # the rule it tabulates, applied to the whole n, agrees at every size
+    for r in range(1, 25):
+        if r % 5 == 0:
+            continue
+        for n in (r, 10**12 * 25 + r, 10**300 * 25 + r):
+            rule = tuple(b for b in range(1, 25) if b % 5 and residual_class(n, b) in (5, 20))
+            assert len(rule) == 2
+            assert steering_residues(n) == SteeringChoice("unit", rule), n
+            assert oracle_steering(n) == ("unit", rule)
+
+
+def test_steering_table_keeps_its_guard(monkeypatch):
+    # a class without exactly two steering residues is an AssertionError, not
+    # a table entry
+    monkeypatch.setattr(modulus, "residual_class", lambda n, b: 5)
+    modulus._unit_steering.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="steering residues for 1 mod 25"):
+            steering_residues(25 * 10**40 + 1)
+    finally:
+        modulus._unit_steering.cache_clear()
 
 
 # -- size interval --------------------------------------------------------
