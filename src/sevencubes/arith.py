@@ -110,18 +110,19 @@ def clear_bits(bits: int, n: int) -> list[int]:
 
 
 # has_small_factor rejects a composite with a prime factor up to
-# _GCD_SIEVE_BOUND before any modular exponentiation.  The composite modulus
-# scan runs it on each l before is_prime, and construct._binary_part on each
-# fibre before Cornacchia.  Its gcd with the product of those primes costs
-# more as the bound grows: timed on the values decompose then passed to
-# is_prime, 3000 matched 1000 on ~90-bit values, where 10**4 was 13% slower,
-# and came within 7% of 10**4 on ~700-bit values.
+# _GCD_SIEVE_BOUND before any modular exponentiation; the composite modulus
+# scan runs it on each l before is_prime.  construct._binary_part takes the
+# same bound and product to read off the small part of each ternary fibre.
+# The gcd with the product costs more as the bound grows: timed on the values
+# decompose then passed to is_prime, 3000 matched 1000 on ~90-bit values,
+# where 10**4 was 13% slower, and came within 7% of 10**4 on ~700-bit values.
 _GCD_SIEVE_BOUND = 3000
 _GCD_SIEVE_PRODUCT = math.prod(primes_upto(_GCD_SIEVE_BOUND))
 # 111 546 435, below 2**30, so n % _GCD_SIEVE_WORD divides by a single digit
-# of CPython's ints.  It alone settled 67% of the calls on the fibres of the
-# construct benchmark workload and 56% on huge (seed 7), each a gcd with the
-# 4330-bit product saved.  Both callers pass odd values; 2 is left to the gcd.
+# of CPython's ints.  It alone settled 35% of the calls on the composite
+# scan's l on the construct benchmark workload and 37% on huge (seed 7), each
+# a gcd with the 4330-bit product saved.  Those l are odd; 2 is left to the
+# gcd.
 _GCD_SIEVE_WORD = math.prod((3, 5, 7, 11, 13, 17, 19, 23))
 
 

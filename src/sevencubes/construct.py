@@ -31,14 +31,17 @@ exceptions are routed to the exhaustive search / stored tables instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isqrt
+from functools import cache
+from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple
 
 from .arith import (
+    _GCD_SIEVE_BOUND,
+    _GCD_SIEVE_PRODUCT,
     cube_root_mod_6n,
-    has_small_factor,
     is_perfect_square,
     jacobi,
+    primes_upto,
 )
 # unused here: perfbench/tracing.py replaces construct.is_prime by name
 from .arith import is_prime  # noqa: F401
@@ -220,17 +223,31 @@ def _cornacchia_two(p: int) -> tuple[int, int] | None:
     return None
 
 
+@cache
+def _small_prime_pairs() -> tuple[int, dict[int, tuple[int, int]]]:
+    """The product of the primes up to 3000 that are 5, 7 (mod 8), and
+    (c, d) with c*c + 2*d*d == p for each p up to 3000 that is 1, 3 (mod 8),
+    in increasing p.  Built on _binary_part's first call (210 calls of
+    _cornacchia_two, each a prime, so each finds its pair)."""
+    primes = primes_upto(_GCD_SIEVE_BOUND)
+    inert = prod(p for p in primes if p % 8 in (5, 7))
+    return inert, {p: _cornacchia_two(p) for p in primes if p % 8 in (1, 3)}
+
+
 def _binary_part(m: int) -> tuple[int, int] | None:
     """(a, b) with a*a + 2*b*b == m for cheaply certified shapes, else None.
 
     Accepts 0, perfect squares, and 4**j times 2, an odd t == 1, 3 (mod 8),
     or twice such a t (the form scales by 4, and 2*(a*a + 2*b*b) ==
-    (2b)**2 + 2*a*a), when _cornacchia_two finds t's pair.  The identity
-    checked there certifies the pair; no prime is proven.  has_small_factor
-    first rejects t with a prime factor up to 3000 (one machine-word
-    remainder, then one gcd), which would cost Cornacchia a modular
-    exponentiation.  None is not a proof that m has no such form, only that
-    this shortcut finds none.
+    (2b)**2 + 2*a*a), when t = s*P is certified.  s is t's part over the
+    primes up to 3000, read off one gcd with their product: each prime
+    == 5, 7 (mod 8) must divide t to an even power (else m has no such
+    form) and goes into the scale; each prime == 1, 3 (mod 8) brings its
+    stored pair, folded in by (a*a + 2*b*b)(c*c + 2*d*d) ==
+    (a*c - 2*b*d)**2 + 2*(a*d + b*c)**2.  The cofactor P > 1 needs
+    _cornacchia_two's pair.  The exact identities certify the pair; no prime
+    is proven.  Below 3000**2 the answer is complete: None means m is not
+    a*a + 2*b*b.  Above it, None only says that P's pair was not found.
     """
     if m == 0:
         return (0, 0)
@@ -246,21 +263,53 @@ def _binary_part(m: int) -> tuple[int, int] | None:
     swap = t % 2 == 0
     if swap:
         t //= 2
-    if t % 8 not in (1, 3) or has_small_factor(t):
+    if t % 8 not in (1, 3):
         return None
-    pair = _cornacchia_two(t)
-    if pair is None:
-        return None
-    a, b = pair
-    return (2 * b * scale, a * scale) if swap else (a * scale, b * scale)
+    a, b = 1, 0
+    g = gcd(t, _GCD_SIEVE_PRODUCT)
+    if g > 1:
+        inert, pairs = _small_prime_pairs()
+        h = gcd(g, inert)
+        g //= h
+        # h holds the primes == 5, 7 (mod 8) still dividing t, each to an
+        # even power or m has no such form
+        while h > 1:
+            if t % (h * h):
+                return None
+            t //= h * h
+            scale *= h
+            h = gcd(t, h)
+        # g holds the primes == 1, 3 (mod 8); split it as factorize does
+        found = []
+        for p in pairs:
+            if p * p > g:
+                break
+            if g % p == 0:
+                found.append(p)
+                g //= p
+        if g > 1:
+            found.append(g)
+        for p in found:
+            c, d = pairs[p]
+            while t % p == 0:
+                t //= p
+                a, b = a * c - 2 * b * d, a * d + b * c
+    if t > 1:
+        pair = _cornacchia_two(t)
+        if pair is None:
+            return None
+        c, d = pair
+        a, b = a * c - 2 * b * d, a * d + b * c
+    a, b = abs(a) * scale, abs(b) * scale
+    return (2 * b, a) if swap else (a, b)
 
 
 # q up to this bound gets a complete scan of every fiber; above it a fiber
 # counts only when _binary_part certifies it
 COMPLETE_FIBER_LIMIT = 10**8
 # fibers represent_ternary tries before it gives up; the most any residual
-# needed was 560 for 1290 targets of 19-61 digits and 2322 for 90 targets
-# of 250-350 digits
+# needed was 122 for 1290 residuals of 19-61 digit targets and 686 for 90 of
+# 250-350 digits (the traced construct and huge benchmark batches, seeds 1-3)
 FIBER_BUDGET = 50_000
 
 
@@ -286,11 +335,12 @@ def represent_ternary(q: int) -> TernaryRep:
       completely, so the witness is the one with the smallest (y, x3);
     * above it: y = isqrt(core // 5) downward, a fiber counting only when
       _binary_part finds its pair (squares, and t == 1, 3 mod 8, twice or
-      4**j times such a t, solved by Cornacchia).  The exact identity
-      certifies the witness; no primality test runs and no prime is proven.
-      The j-th fiber from the top has m about 2*j*sqrt(5*core), half the
-      bits of q, so each modular exponentiation is several times cheaper
-      and a pair twice as likely as near y = 0.
+      4**j times such a t, composed from stored pairs of its prime factors
+      up to 3000 and Cornacchia's pair of the cofactor).  The exact
+      identity certifies the witness; no primality test runs and no prime
+      is proven.  The j-th fiber from the top has m about
+      2*j*sqrt(5*core), half the bits of q, so each modular exponentiation
+      is several times cheaper and a pair twice as likely as near y = 0.
 
     Raises OutOfScopeError when FIBER_BUDGET fibers, or all of them, yield no
     witness; decompose then tries its next modulus.

@@ -205,7 +205,7 @@ def test_represent_ternary_deterministic():
 
 
 def test_represent_ternary_fiber_budget(monkeypatch):
-    q = 10**16 + 1  # the walk starts at y = 44721359; the 96th fiber certifies
+    q = 10**16 + 1  # the walk starts at y = 44721359; the 4th fiber certifies
     real = construct._binary_part
     fibers = []
     monkeypatch.setattr(construct, "_binary_part", lambda m: fibers.append(m) or real(m))
@@ -216,7 +216,7 @@ def test_represent_ternary_fiber_budget(monkeypatch):
 
 
 def test_decompose_skips_modulus_over_fiber_budget(monkeypatch):
-    n = 10**18 + 6
+    n = 10**18 + 18
     default = decompose(n)
     monkeypatch.setattr(construct, "FIBER_BUDGET", 1)
     tr = decompose(n)  # the first moduli's residuals need more than one fiber
@@ -256,20 +256,62 @@ CERTIFIED_WITNESSES = {
         249970729268769548480630045391874968284508867527946,
         553439099776530010095247014921804306548046568603478,
     ),
-    5 * (10**40 + 1): (9762577480, 213195558210),  # 5 exactly divides q
-    10**20 + 2: (543620, 738519),  # q == 2 (mod 8)
+    5 * (10**40 + 1): (164415789540, 31364375890),  # 5 exactly divides q
+    10**20 + 2: (694612, 68667),  # q == 2 (mod 8)
+    25**3 * (10**30 + 1): (16992885250, 17541403250),
+}
+# the witnesses of the same walk when a fiber counts only if its odd part has
+# no prime factor up to 3000 and Cornacchia solves it (_cornacchia_only_pair);
+# _binary_part accepts every fiber that rule accepts, so on the downward walk
+# its witness sits on the same fiber y or a higher one
+CORNACCHIA_ONLY_WITNESSES = {
+    10**9 + 7: (1305, 79),
+    10**39 + 3: (21202496886, 11400638659),
+    5 * (10**40 + 1): (9762577480, 213195558210),
+    10**20 + 2: (543620, 738519),
     25**3 * (10**30 + 1): (17165145750, 19355513750),
 }
 
 
-def test_represent_ternary_certified_witnesses_pinned():
+def _cornacchia_only_pair(m):
+    """_binary_part's shapes, with an odd part t == 1, 3 (mod 8) solved only
+    when it has no prime factor up to 3000 and Cornacchia finds its pair."""
+    if m == 0:
+        return (0, 0)
+    s = arith.is_perfect_square(m)
+    if s is not None:
+        return (s, 0)
+    t, scale = m, 1
+    while t % 4 == 0:
+        t, scale = t // 4, 2 * scale
+    if t == 2:
+        return (0, scale)
+    swap = t % 2 == 0
+    if swap:
+        t //= 2
+    if t % 8 not in (1, 3) or arith.has_small_factor(t):
+        return None
+    pair = _cornacchia_two(t)
+    if pair is None:
+        return None
+    a, b = pair
+    return (2 * b * scale, a * scale) if swap else (a * scale, b * scale)
+
+
+def test_represent_ternary_certified_witnesses_pinned(monkeypatch):
     # the fiber walk order and the certificate decide these witnesses; a change
     # to either shows here (the selftest records no witness above 10**8)
+    reps = {}
     for q, (x1, x3) in CERTIFIED_WITNESSES.items():
         assert q > construct.COMPLETE_FIBER_LIMIT
-        rep = represent_ternary(q)
+        reps[q] = rep = represent_ternary(q)
         assert (rep.x1, rep.x3) == (x1, x3), q
         assert rep.q() == q
+    monkeypatch.setattr(construct, "_binary_part", _cornacchia_only_pair)
+    for q, (x1, x3) in CORNACCHIA_ONLY_WITNESSES.items():
+        old = represent_ternary(q)
+        assert (old.x1, old.x3) == (x1, x3), q
+        assert reps[q].y >= old.y, q
 
 
 def test_represent_ternary_spends_no_primality_test(monkeypatch):
@@ -282,6 +324,23 @@ def test_represent_ternary_spends_no_primality_test(monkeypatch):
     for q, (x1, x3) in CERTIFIED_WITNESSES.items():
         rep = represent_ternary(q)
         assert (rep.x1, rep.x3) == (x1, x3), q
+
+
+def test_decompose_moduli_pinned():
+    # the ternary certificate may move the witness (x1, x2, x3) but never the
+    # modulus, the anchor or the residual: seeded targets of 19 to 349 digits
+    rng = random.Random(2425)
+    digest = hashlib.sha256()
+    for d in range(19, 351, 3):
+        n = rng.randrange(10 ** (d - 1), 10**d) // 4 * 4 + 2
+        if n % 125 == 0:
+            n += 4
+        tr = decompose(n)
+        assert tr.branch == "construction", n
+        digest.update(json.dumps([n, tr.p_value, list(tr.p_factors), tr.x0, tr.q]).encode())
+    assert digest.hexdigest() == (
+        "16063cd7437b5a3f15d628bb0ac6ae0df7e3312554de1dd7332c35b8b56bdf2c"
+    )
 
 
 def test_decompose_300_digit_record_pinned():
@@ -466,6 +525,57 @@ def test_binary_part_shapes():
     assert _binary_part(7) is None
 
 
+def _representable_by_trial_division(m):
+    """m == a*a + 2*b*b exactly when every prime == 5, 7 (mod 8) divides m
+    to an even power; m is factored by trial division."""
+    if m == 0:
+        return True
+    while m % 2 == 0:
+        m //= 2
+    p = 3
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e % 2 and p % 8 in (5, 7):
+            return False
+        p += 2
+    return m % 8 not in (5, 7)  # what is left is 1 or a prime
+
+
+def test_binary_part_complete_below_3000_squared():
+    # every m < 2*10**5 by a scan of the whole form, and seeded m below 3000**2
+    # by the prime criterion: there every prime factor but at most one is up
+    # to 3000, so the stored pairs and the gcds factor m completely
+    limit = 2 * 10**5
+    form = bytearray(limit)
+    for b in range(isqrt(limit // 2) + 1):
+        for a in range(isqrt(limit - 1 - 2 * b * b) + 1):
+            form[a * a + 2 * b * b] = 1
+    rng = random.Random(3000)
+    seeded = [rng.randrange(limit, 3000**2) for _ in range(2000)]
+    for m in list(range(limit)) + seeded:
+        expected = form[m] if m < limit else _representable_by_trial_division(m)
+        got = _binary_part(m)
+        assert (got is not None) == expected, m
+        assert got is None or got[0] ** 2 + 2 * got[1] ** 2 == m, m
+
+
+def test_binary_part_accepts_what_cornacchia_alone_accepts():
+    # the odd part splits into stored pairs of its primes up to 3000 and the
+    # cofactor, so no fiber the Cornacchia-only rule certified is lost
+    rng = random.Random(2**200)
+    accepted = 0
+    for _ in range(3000):
+        m = rng.getrandbits(rng.randint(1, 200))
+        got = _binary_part(m)
+        assert got is None or (got[0] ** 2 + 2 * got[1] ** 2 == m and min(got) >= 0), m
+        if _cornacchia_only_pair(m) is not None:
+            accepted += 1
+            assert got is not None, m
+    assert accepted > 100
+
+
 def test_cornacchia_two_exhaustive():
     for p in primes_upto(4000):
         if p % 8 not in (1, 3):
@@ -616,7 +726,7 @@ def test_decompose_records_of_every_route_pinned():
         digest.update(json.dumps(decompose(n).to_record()).encode())
     digest.update(json.dumps(decompose(3308360150, search_max_n=10**10).to_record()).encode())
     assert digest.hexdigest() == (
-        "7d5437922e7865ccc98c9927c9f3b4110bda1a631ccbc64eb64ff5fefc899e58"
+        "835702da17353c6f99ea19bcaeeb806a9dc2425b112be171353d874aae03f192"
     )
 
 
