@@ -33,30 +33,24 @@ __all__ = [
     "jacobi",
     "prime_sieve",
     "primes_upto",
+    "split_squarefree",
 ]
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES = (2, 3, 5, 7, 11)
 
 # psi_k, the smallest strong pseudoprime to the first k of _MR_BASES
-# (Jaeschke 1993 for k <= 8, Jiang and Deng 2014 for k = 9..11, Sorenson and
-# Webster 2015 for k = 12, 13): an n that passes the first k bases and is
-# below psi_k is prime, so is_prime stops there.  psi_13 (about 3.3e24) bounds
-# the range where the 13 bases decide primality; is_prime refuses n from it.
+# (Jaeschke 1993): an n that passes the first k bases and is below psi_k is
+# prime, so is_prime stops there.  psi_5 (about 2.15e12) bounds the range
+# where the five bases decide primality; is_prime refuses n from it.  No
+# caller comes near it: direct-scan windows end below 1.91e8 and the
+# composite route's large prime l below 1.72e11.
 _MR_PSI = (
     2_047,
     1_373_653,
     25_326_001,
     3_215_031_751,
     2_152_302_898_747,
-    3_474_749_660_383,
-    341_550_071_728_321,
-    341_550_071_728_321,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461,
-    3_317_044_064_679_887_385_961_981,
 )
 
 # modulus.admissible_factors trial-divides by the primes up to this bound, by a
@@ -169,16 +163,16 @@ def jacobi(a: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n below psi_13 (about 3.3e24).
+    """Deterministic primality test for n below psi_5 (about 2.15e12).
 
     Miller-Rabin stops after the first k bases once n is below psi_k, the
-    smallest strong pseudoprime to them, so a prime below 2.5e7 takes 3 bases
-    and one below 2**64 at most 12.  Raises ValueError for n >= psi_13, where
-    the 13 bases prove nothing.  Only primes up to 47 are divided out first;
-    callers remove larger small factors (has_small_factor, trial division).
+    smallest strong pseudoprime to them, so a prime below 2.5e7 takes 3
+    bases.  Raises ValueError for n >= psi_5, where the five bases prove
+    nothing.  Only primes up to 47 are divided out first; callers remove
+    larger small factors (has_small_factor, trial division).
     """
     if n >= _MR_PSI[-1]:
-        raise ValueError(f"is_prime requires n < psi_13 = {_MR_PSI[-1]}")
+        raise ValueError(f"is_prime requires n < psi_5 = {_MR_PSI[-1]}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -195,6 +189,27 @@ def is_prime(n: int) -> bool:
         if n < psi:
             break
     return True
+
+
+def split_squarefree(g: int, primes: Iterable[int]) -> list[int]:
+    """The prime factors of a squarefree g >= 1, ascending, where `primes`
+    ascends through every prime factor of g but the largest.
+
+    Walks `primes` until p * p exceeds what is left of g, dividing out each
+    one that divides it; a remainder above 1 is then a prime, the largest
+    factor.  Splits a gcd with a product of known primes, which holds each
+    of them at most once.
+    """
+    found = []
+    for p in primes:
+        if p * p > g:
+            break
+        if g % p == 0:
+            found.append(p)
+            g //= p
+    if g > 1:
+        found.append(g)
+    return found
 
 
 # The trial primes as modulus.admissible_factors takes them: a loop over those
@@ -220,54 +235,40 @@ def _factor_table() -> tuple[tuple[int, ...], int]:
 
 def factorize(n: int) -> list[tuple[int, int]] | None:
     """Full factorization of n as a sorted list of (prime, exponent), or
-    None when n has no prime factor up to FACTOR_BOUND and n > 1, or two or
-    more prime factors above FACTOR_BOUND, counted with multiplicity.
+    None when n > 1 has no prime factor up to FACTOR_BOUND.
 
     Precondition: n >= 1 has no prime factor up to TRIAL_DIVISION_BOUND, as
     the cofactor modulus.admissible_factors leaves after its trial division,
-    and n < psi_13, so is_prime proves the part that is left.  One gcd with
-    the product of the primes up to FACTOR_BOUND collects the factors up to
-    the bound.  When it is 1, n is a prime above the bound or has two or
-    more prime factors above it, and the answer is None with no primality
-    test: admissible_factors proves a prime cofactor itself, and only when
-    it is 5 (mod 6).  Otherwise a loop over those primes, which ends once
-    the rest of the gcd is 1 or a prime, splits it in at most
-    pi(FACTOR_BOUND) - pi(10**4) = 2016 steps.  Once their powers are
-    divided out, what is left must be 1 or a prime that is_prime proves.
-    The modulus scan built on it thus takes the smallest candidate whose
-    cofactor splits by trial division up to FACTOR_BOUND, times at most one
-    prime.  Raises ValueError on an input that breaks the precondition.
+    and n < psi_5.  One gcd with the product of the primes up to
+    FACTOR_BOUND collects the factors up to the bound.  When it is 1, n is
+    a prime above the bound or has two or more prime factors above it, and
+    the answer is None: admissible_factors proves a prime cofactor itself,
+    and only when it is 5 (mod 6).  Otherwise split_squarefree splits the
+    gcd over those primes in at most pi(FACTOR_BOUND) - pi(10**4) = 2016
+    steps.  Once their powers are divided out, what is left is below
+    psi_5 / 10007 < FACTOR_BOUND**2 with no prime factor up to the bound:
+    1 or a prime, so no primality test runs.  The modulus scan built on it
+    thus takes the smallest candidate whose cofactor splits by trial
+    division up to FACTOR_BOUND, times at most one prime.  Raises
+    ValueError on an input that breaks the precondition.
     """
     if n < 1 or n >= _MR_PSI[-1] or math.gcd(n, _TRIAL_PRODUCT) != 1:
         raise ValueError(
-            f"factorize requires 1 <= n < psi_13 with no prime factor up to"
+            f"factorize requires 1 <= n < psi_5 with no prime factor up to"
             f" {TRIAL_DIVISION_BOUND}"
         )
     primes, product = _factor_table()
     g = math.gcd(n, product)
     if g == 1 and n > 1:
         return None
-    found = []
-    for p in primes:
-        if p * p > g:
-            break  # g is 1 or a prime: every smaller prime is divided out
-        if g % p == 0:
-            found.append(p)
-            g //= p
-    if g > 1:
-        found.append(g)
     factors = []
-    for p in found:
+    for p in split_squarefree(g, primes):
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         factors.append((p, e))
-    # n has no prime factor up to FACTOR_BOUND, so up to FACTOR_BOUND**2 it
-    # is 1 or a prime
     if n > 1:
-        if n > FACTOR_BOUND**2 and not is_prime(n):
-            return None
         factors.append((n, 1))
     return factors
 

@@ -42,13 +42,13 @@ from .arith import (
     is_perfect_square,
     jacobi,
     primes_upto,
+    split_squarefree,
 )
 # unused here: perfbench/tracing.py replaces construct.is_prime by name
 from .arith import is_prime  # noqa: F401
 from .modulus import (
+    COMPOSITE_ROUTE_MIN,
     IDENTITY_CONSTANT,
-    LARGE_PRIME_FLOOR,
-    VALID_HI,
     AuxModulus,
     iter_moduli_composite,
     iter_moduli_direct,
@@ -79,12 +79,6 @@ __all__ = [
     "residual_quotient",
     "verify",
 ]
-
-# the size gate between the two modulus scans: above it only the composite
-# route runs, since every window lies above 11 * LARGE_PRIME_FLOOR and each
-# steering residue gets a smooth part; at or below it only the direct scan
-# runs, on a window below 1.91e8, and steering_residues is never called
-COMPOSITE_ROUTE_MIN = VALID_HI * (11 * LARGE_PRIME_FLOOR) ** 3
 
 # _sqrt_minus_two looks for a non-residue below this; for a prime modulus
 # the least one is far smaller, and the cap ends the search on a composite
@@ -279,17 +273,8 @@ def _binary_part(m: int) -> tuple[int, int] | None:
             t //= h * h
             scale *= h
             h = gcd(t, h)
-        # g holds the primes == 1, 3 (mod 8); split it as factorize does
-        found = []
-        for p in pairs:
-            if p * p > g:
-                break
-            if g % p == 0:
-                found.append(p)
-                g //= p
-        if g > 1:
-            found.append(g)
-        for p in found:
+        # g holds the primes == 1, 3 (mod 8), each once
+        for p in split_squarefree(g, pairs):
             c, d = pairs[p]
             while t % p == 0:
                 t //= p
@@ -590,7 +575,7 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
     budgets, which live in the module of the step they bound.  For n0 up to
     COMPOSITE_ROUTE_MIN (about 1.1e28) the direct scan examines at most
     modulus.DIRECT_SCAN_LIMIT candidates, all below 1.91e8 (far under
-    psi_13, so every factor is proven).  Each cofactor is split by trial
+    psi_5, so every factor is proven).  Each cofactor is split by trial
     division up to arith.FACTOR_BOUND, and since 1.91e8 < 10007 *
     FACTOR_BOUND at most one prime is left above the bound: the scan takes
     the smallest admissible candidate.  Above the gate the composite route

@@ -13,15 +13,15 @@ input n = 2 (mod 4) the construction needs
 
 This module picks steering residues (for 5 not dividing n, from a table
 keyed on n mod 25) and offers the two scans construct chooses between by
-size, one per target.  Up to construct.COMPOSITE_ROUTE_MIN (about 1.1e28)
-the direct scan walks the valid interval, whose values then stay below
-1.91e8, and takes the smallest candidate whose cofactor splits by trial
-division up to arith.FACTOR_BOUND, times at most one prime.  Above it the
-composite scan builds m = S * l: S is a product of small primes from the
-trial-division table and l one prime below 2**38, so nothing large is
-factored or tested.
-Every prime factor of every modulus is proven: all lie below psi_13 (about
-3.3e24), where is_prime's Miller-Rabin bases are deterministic.
+size, one per target.  Up to COMPOSITE_ROUTE_MIN (about 1.1e28) the direct
+scan walks the valid interval, whose values then stay below 1.91e8, and
+takes the smallest candidate whose cofactor splits by trial division up to
+arith.FACTOR_BOUND, times at most one prime; above it the direct scan
+refuses to run.  There the composite scan builds m = S * l: S is a product
+of small primes from the trial-division table and l one prime below 2**38,
+so nothing large is factored or tested.
+Every prime factor of every modulus is proven: all lie below psi_5 (about
+2.15e12), where is_prime's Miller-Rabin bases are deterministic.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ from .arith import (
     has_small_factor,
     integer_cbrt,
     is_prime,
+    split_squarefree,
 )
 
 __all__ = [
-    "DIRECT_SCAN_BITS",
+    "COMPOSITE_ROUTE_MIN",
     "DIRECT_SCAN_LIMIT",
     "IDENTITY_CONSTANT",
     "LARGE_PRIME_FLOOR",
@@ -69,6 +70,18 @@ __all__ = [
 VALID_LO = 1618
 VALID_HI = 1786
 
+# The large prime l of a composite-route modulus S * l is at least this: above
+# every trial prime, so the factors of S * l are distinct, and small enough
+# that is_prime proves l (the walk stays below 2**38, far below psi_5).
+LARGE_PRIME_FLOOR = 1 << 24
+
+# The size gate between the two modulus scans, and the direct scan's only
+# size bound: above it only the composite route runs, since every window
+# lies above 11 * LARGE_PRIME_FLOOR and each steering residue gets a smooth
+# part; at or below it only the direct scan runs, on a window below 1.91e8,
+# and steering_residues is never called.
+COMPOSITE_ROUTE_MIN = VALID_HI * (11 * LARGE_PRIME_FLOOR) ** 3
+
 # 2 * (4**3 + 5**3 + 8**3): the cube-free part of the six-term identity
 # (see construct.py).
 IDENTITY_CONSTANT = 1402
@@ -77,12 +90,6 @@ IDENTITY_CONSTANT = 1402
 # the square of the first prime past it (10007**2): a cofactor left by the
 # trial division below this square is 1 or a prime.
 _UNTRIED_SQUARE = next(p for p in count(TRIAL_DIVISION_BOUND + 1) if is_prime(p)) ** 2
-
-# The only size bound on factoring: admissible_factors refuses values of more
-# bits, and the direct scan stops below 2**DIRECT_SCAN_BITS.  2**81 is the
-# largest power of two below psi_13 (about 3.3e24), so every candidate,
-# cofactor and factorize part lies where is_prime is a proof.
-DIRECT_SCAN_BITS = 81
 
 # candidate values iter_moduli_direct examines per scan
 DIRECT_SCAN_LIMIT = 500_000
@@ -95,7 +102,7 @@ class AuxModulus:
     """An admissible modulus together with its prime factors.
 
     The scans that build one prove every factor prime (all lie below
-    psi_13); the constructor checks only order, residue and product.
+    psi_5); the constructor checks only order, residue and product.
     """
 
     value: int
@@ -129,8 +136,9 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
     None.
 
     Admissible: squarefree with every prime factor congruent to 5 mod 6.
-    The empty product n = 1 is admissible.  Raises ValueError for n < 1 and
-    for n of more than DIRECT_SCAN_BITS bits, which it never factors.
+    The empty product n = 1 is admissible.  Raises ValueError for n < 1,
+    and, through is_prime or factorize, for a cofactor left by the trial
+    division at or above psi_5 (about 2.15e12), where no test is a proof.
 
     Trial division by the primes up to TRIAL_DIVISION_BOUND comes first: a
     loop over the primes below 200, which ends once p * p exceeds what is
@@ -147,10 +155,6 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
     """
     if n < 1:
         raise ValueError("modulus candidates must be positive")
-    if n.bit_length() > DIRECT_SCAN_BITS:
-        raise ValueError(
-            f"{n.bit_length()}-bit value exceeds the {DIRECT_SCAN_BITS}-bit factoring cap"
-        )
     primes: list[int] = []
     m = n
     for p in TRIAL_LOOP_PRIMES:
@@ -170,14 +174,7 @@ def admissible_factors(n: int) -> tuple[int, ...] | None:
             m //= g
             if gcd(m, g) != 1:
                 return None  # a factor of g is repeated
-            # g is squarefree: split it by trial division, up to its square root
-            for p in TRIAL_PRIMES_5_MOD_6:
-                if p * p > g:
-                    break
-                if g % p == 0:
-                    primes.append(p)
-                    g //= p
-            primes.append(g)
+            primes += split_squarefree(g, TRIAL_PRIMES_5_MOD_6)
         # only a prime = 5 (mod 6) is admissible; factorize takes the rest
         if m >= _UNTRIED_SQUARE and not (m % 6 == 5 and is_prime(m)):
             fac = factorize(m)
@@ -253,18 +250,16 @@ def iter_moduli_direct(n: int):
     up to arith.FACTOR_BOUND, times at most one prime, and a candidate whose
     cofactor has two or more prime factors above that bound is skipped.
 
-    Candidates obey the size interval and m = n/2 (mod 4), and stay below
-    2**DIRECT_SCAN_BITS (81 bits, below psi_13): that cap is the only size
-    bound on factoring, it keeps every factor proven, and a target whose
-    whole interval lies above it (about 77 digits and up) gets nothing from
-    this scan.  decompose runs it only up to construct.COMPOSITE_ROUTE_MIN,
-    on windows below 1.91e8.  At most DIRECT_SCAN_LIMIT candidates are
-    examined.
+    Candidates obey the size interval and m = n/2 (mod 4).  The only size
+    bound is the gate: raises ValueError for n above COMPOSITE_ROUTE_MIN, so
+    every window ends below 1.91e8, far under psi_5, and every factor is
+    proven.  At most DIRECT_SCAN_LIMIT candidates are examined.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")
+    if n > COMPOSITE_ROUTE_MIN:
+        raise ValueError("the direct scan runs only up to COMPOSITE_ROUTE_MIN")
     lo, hi = modulus_interval(n)
-    hi = min(hi, (1 << DIRECT_SCAN_BITS) - 1)
     first = lo + ((n // 2) - lo) % 4
     for cand in range(first, hi + 1, 4)[:DIRECT_SCAN_LIMIT]:
         fac = admissible_factors(cand)
@@ -273,11 +268,6 @@ def iter_moduli_direct(n: int):
 
 
 # -- the smooth composite route ---------------------------------------------
-
-# The large prime l of a composite-route modulus S * l is at least this: above
-# every trial prime, so the factors of S * l are distinct, and small enough
-# that is_prime proves l (the walk stays below 2**38, far below psi_13).
-LARGE_PRIME_FLOOR = 1 << 24
 
 # the primes = 5 (mod 6) from 11 up to TRIAL_DIVISION_BOUND, ascending
 _SMOOTH_PRIMES = tuple(p for p in TRIAL_LOOP_PRIMES + TRIAL_PRIMES_5_MOD_6 if p % 6 == 5 and p > 5)
@@ -293,7 +283,7 @@ def iter_moduli_composite(n: int, residue_mod25: int):
     one class mod 300 (mod 60 when 5 | b) with l = 5 (mod 6),
     S * l = n/2 (mod 4) and S * l = b (mod 25), and counts when is_prime
     accepts it.  Every l lies in [2**24, 2**38): above every prime of S, and
-    below psi_13, where is_prime is deterministic, so every factor is proven.
+    below psi_5, where is_prime is deterministic, so every factor is proven.
 
     Yields nothing when the first prime of S does not fit (lo below
     p * 2**24, p = 11, or 5 when 5 | b) and, the declared edge, when the
@@ -316,7 +306,7 @@ def iter_moduli_composite(n: int, residue_mod25: int):
         primes.append(p)
         s *= p
     else:
-        return  # every trial prime fits: nothing bounds l below psi_13
+        return  # every trial prime fits: nothing bounds l below 2**38
     if not primes:
         return
     if five:

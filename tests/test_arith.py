@@ -73,9 +73,10 @@ def test_is_prime_exhaustive_small():
         assert is_prime(n) == naive_is_prime(n), n
 
 
-# Frozen landmark composites: Carmichael numbers, strong pseudoprimes to
-# many bases, and the smallest composite passing the first 12 prime
-# Miller-Rabin bases.
+# Frozen landmark composites: Carmichael numbers, psi_3 and psi_4, and
+# strong pseudoprimes below psi_5 to the first two prime bases
+# (1122004669633) and to the first four (118670087467, 1871186716981),
+# which the next base rejects.
 LANDMARK_COMPOSITES = [
     341,
     561,
@@ -83,10 +84,9 @@ LANDMARK_COMPOSITES = [
     1729,
     25326001,
     3215031751,
-    3474749660383,
-    341550071728321,
-    3825123056546413051,
-    318665857834031151167461,
+    118670087467,
+    1122004669633,
+    1871186716981,
 ]
 
 LANDMARK_PRIMES = [
@@ -95,20 +95,20 @@ LANDMARK_PRIMES = [
     1009,
     104729,
     2**31 - 1,
-    2**61 - 1,
-    10**18 + 9,
-    999999999999999989,
-    10**24 + 7,
+    999999999989,
+    10**12 + 39,
+    2152302898729,  # the largest prime below psi_5
 ]
 
-# At or above psi_13, the smallest composite passing the first 13 prime
-# bases, the bases prove nothing and is_prime refuses: psi_13 itself, two
-# Mersenne primes and the square of a third.
-LANDMARKS_PAST_PSI_13 = [
-    3317044064679887385961981,
+# At or above psi_5, the smallest composite passing the first 5 prime
+# bases, the bases prove nothing and is_prime refuses: psi_5 itself, three
+# Mersenne primes and the square of a fourth.
+LANDMARKS_PAST_PSI_5 = [
+    2152302898747,
+    2**61 - 1,
     2**89 - 1,
     2**127 - 1,
-    (2**61 - 1) ** 2,
+    (2**31 - 1) ** 2,
 ]
 
 
@@ -117,15 +117,19 @@ def test_is_prime_landmarks():
         assert not is_prime(n), n
     for n in LANDMARK_PRIMES:
         assert is_prime(n), n
-    for n in LANDMARKS_PAST_PSI_13:
+    for n in LANDMARKS_PAST_PSI_5:
         with pytest.raises(ValueError):
             is_prime(n)
 
 
 def test_is_prime_square_of_prime_rejected():
-    # squares of primes have no small factor, yet are composite
-    for p in (1000003, 10**9 + 7, 10**12 + 39):
+    # squares of primes have no small factor, yet are composite: below psi_2,
+    # psi_4 and psi_5, the last the square of the largest prime whose square
+    # lies below psi_5
+    for p in (1009, 10007, 1000003, 1467061):
         assert not is_prime(p * p)
+    assert 1467061**2 < _MR_PSI[-1] < 1467091**2
+    assert _next_prime(1467062) == 1467091
 
 
 def _next_prime(n: int) -> int:
@@ -147,8 +151,9 @@ def test_is_prime_gcd_prefilter_edges():
     assert at == factors[-1] and above not in factors and is_prime(above)
     for n in range(bound - 200, bound + 200):
         assert is_prime(n) == naive_is_prime(n), n
-    # large primes whose products with the ones above stay below psi_13
-    large = (10**9 + 7, 2**61 - 1, 10**18 + 9)
+    # large primes whose products with the ones above stay below psi_5
+    large = (10**6 + 3, 10**8 + 7, 717195229)
+    assert above * large[-1] < _MR_PSI[-1]
     for p in (53, below, at, above):
         for q in (below, at, above) + large:
             assert not is_prime(p * q), (p, q)
@@ -190,20 +195,26 @@ def test_factorize_spot_values():
     assert factorize(10007) == [(10007, 1)]
     assert factorize(10007 * 10037) == [(10007, 1), (10037, 1)]
     assert factorize(10007**2) == [(10007, 2)]
-    assert factorize(10009**3 * 10037) == [(10009, 3), (10037, 1)]
+    assert factorize(10009**3) == [(10009, 3)]
+    assert factorize(10009**2 * 10037) == [(10009, 2), (10037, 1)]
     # the gcd with the primes up to FACTOR_BOUND is the composite
-    # 12 007 * 12 211, which the loop over those primes splits; the powers
-    # are divided out, and the prime near 10**12 is left
+    # 12 007 * 12 211, which split_squarefree splits, and the powers are
+    # divided out
     assert factorize(12007 * 12211) == [(12007, 1), (12211, 1)]
-    r = 999_999_999_989
+    assert factorize(12007**2 * 12211) == [(12007, 2), (12211, 1)]
+    # what is left once they are divided out is 1 or a prime, here one
+    # near 10**8, above FACTOR_BOUND: with no prime factor up to the bound
+    # and below psi_5 / 10007 < FACTOR_BOUND**2, it needs no primality test
+    assert _MR_PSI[-1] < 10007 * FACTOR_BOUND**2
+    r = 99_999_989
     assert naive_is_prime(r)
-    assert factorize(12007**2 * 12211 * r) == [(12007, 2), (12211, 1), (r, 1)]
+    assert factorize(12007 * r) == [(12007, 1), (r, 1)]
 
 
 def test_factorize_rejects_bad_input():
     # below 1, with a prime factor up to the trial bound, or at or above
-    # psi_13, where is_prime proves no part
-    for n in (0, -12, 2, 4, 360, 9973, 10007 * 9973, 2**100, 10007**6 * 10009):
+    # psi_5, where the precondition no longer holds
+    for n in (0, -12, 2, 4, 360, 9973, 10007 * 9973, 2**100, 10007 * 10009 * 30011):
         with pytest.raises(ValueError):
             factorize(n)
 
@@ -215,10 +226,11 @@ def _prev_prime(n: int) -> int:
 
 
 def test_factorize_semiprime_beyond_trial_division():
-    # two primes near 10**8, both above FACTOR_BOUND: the gcd finds neither,
-    # and what is left is not a prime, so factorize gives up
-    p = _prev_prime(10**8)
+    # two primes near 10**6, both above FACTOR_BOUND: the gcd finds neither,
+    # so factorize gives up
+    p = _prev_prime(10**6)
     q = _prev_prime(p - 1)
+    assert p * q < _MR_PSI[-1]
     assert factorize(p * q) is None
 
 
@@ -230,9 +242,11 @@ def _next_prime(n: int) -> int:
 
 def test_factorize_splits_at_the_factor_bound():
     # the largest prime up to FACTOR_BOUND is split off by the gcd and leaves
-    # a prime near 10**9; the first prime past the bound leaves a composite
+    # a prime near 7 * 10**7; the first prime past the bound leaves a
+    # composite
     p = _prev_prime(FACTOR_BOUND)
-    q = _prev_prime(10**9)
+    q = _prev_prime(7 * 10**7)
+    assert _next_prime(FACTOR_BOUND + 1) * q < _MR_PSI[-1]
     assert factorize(p * q) == [(p, 1), (q, 1)]
     assert factorize(_next_prime(FACTOR_BOUND + 1) * q) is None
 
@@ -246,9 +260,10 @@ def test_factorize_answers_none_past_the_bound_without_a_primality_test(monkeypa
 
     monkeypatch.setattr(arith, "is_prime", no_test)
     p = _next_prime(FACTOR_BOUND + 1)
-    q = _prev_prime(10**9)
-    r = _prev_prime(q - 1)
-    for n in (p, q, p * q, q * r, p**2):
+    q = _prev_prime(10**9)  # above FACTOR_BOUND**2
+    r = _prev_prime(10**6)
+    s = _prev_prime(r - 1)
+    for n in (p, q, p * r, r * s, p**2):
         assert factorize(n) is None, n
     # n = 1, and a prime up to the bound, still need no test
     assert factorize(1) == []
@@ -256,16 +271,19 @@ def test_factorize_answers_none_past_the_bound_without_a_primality_test(monkeypa
 
 
 # The primes past the trial bound up to FACTOR_BOUND: every product of up to
-# five of them, repeats allowed, lies below psi_13 and splits exactly.
+# three of them, repeats allowed, splits exactly when it lies below psi_5,
+# and is refused at or above it.
 _PRIMES_PAST_TRIAL_BOUND = [p for p in primes_upto(FACTOR_BOUND) if p > TRIAL_DIVISION_BOUND]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(_PRIMES_PAST_TRIAL_BOUND), min_size=1, max_size=5))
+@given(st.lists(st.sampled_from(_PRIMES_PAST_TRIAL_BOUND), min_size=1, max_size=3))
 def test_factorize_roundtrip(primes):
-    n = 1
-    for p in primes:
-        n *= p
+    n = math.prod(primes)
+    if n >= _MR_PSI[-1]:
+        with pytest.raises(ValueError):
+            factorize(n)
+        return
     fac = factorize(n)
     assert fac == sorted({p: primes.count(p) for p in primes}.items())
     assert all(is_prime(p) for p, _ in fac)
@@ -374,37 +392,29 @@ def test_cube_root_rejects_bad_prime_lists():
         cube_root_mod_6n(8, (11, 5))  # not increasing
 
 
-def test_is_prime_refuses_from_the_13_base_bound():
-    # psi_13, the smallest composite passing Miller-Rabin on the first 13
+def test_is_prime_refuses_from_the_5_base_bound():
+    # psi_5, the smallest composite passing Miller-Rabin on the first 5
     # prime bases, is where is_prime stops being a proof, and so refuses
-    psi13 = _MR_PSI[-1]
-    assert psi13 == 3317044064679887385961981
-    assert is_prime(psi13 - 1) is False  # below the bound: answered
-    for n in (psi13, psi13 + 1, 2**82):
+    psi5 = _MR_PSI[-1]
+    assert psi5 == 2152302898747
+    assert is_prime(psi5 - 18) is True  # below the bound: answered
+    assert is_prime(psi5 - 1) is False
+    for n in (psi5, psi5 + 1, 2**41, 2**82):
         with pytest.raises(ValueError):
             is_prime(n)
 
 
 # -- the Miller-Rabin cut-offs --------------------------------------------------
 
-_FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_FIRST_5_PRIMES = (2, 3, 5, 7, 11)
 
-# psi_k, k = 1..13, with a factorization of each (Jaeschke 1993; Jiang and
-# Deng 2014; Sorenson and Webster 2015)
+# psi_k, k = 1..5, with a factorization of each (Jaeschke 1993)
 PSI_FACTORS = (
     (2047, (23, 89)),
     (1373653, (829, 1657)),
     (25326001, (2251, 11251)),
     (3215031751, (151, 751, 28351)),
     (2152302898747, (6763, 10627, 29947)),
-    (3474749660383, (1303, 16927, 157543)),
-    (341550071728321, (10670053, 32010157)),
-    (341550071728321, (10670053, 32010157)),
-    (3825123056546413051, (149491, 747451, 34233211)),
-    (3825123056546413051, (149491, 747451, 34233211)),
-    (3825123056546413051, (149491, 747451, 34233211)),
-    (318665857834031151167461, (399165290221, 798330580441)),
-    (3317044064679887385961981, (1287836182261, 2575672364521)),
 )
 
 
@@ -424,18 +434,18 @@ def strong_probable_prime(n: int, a: int) -> bool:
 
 
 def is_prime_all_bases(n: int) -> bool:
-    """The primality test without cut-offs, for n below psi_13: every number
-    that gets past the small primes runs all 13 Miller-Rabin bases."""
+    """The primality test without cut-offs, for n below psi_5: every number
+    that gets past the small primes runs all 5 Miller-Rabin bases."""
     if n < 2:
         return False
-    for p in _FIRST_13_PRIMES:
+    for p in _FIRST_5_PRIMES:
         if n % p == 0:
             return n == p
-    return all(strong_probable_prime(n, a) for a in _FIRST_13_PRIMES)
+    return all(strong_probable_prime(n, a) for a in _FIRST_5_PRIMES)
 
 
 def matches_all_bases(n: int) -> bool:
-    """is_prime(n) agrees with is_prime_all_bases below psi_13 and raises
+    """is_prime(n) agrees with is_prime_all_bases below psi_5 and raises
     ValueError at or above it; True when n was answered."""
     if n >= _MR_PSI[-1]:
         with pytest.raises(ValueError):
@@ -452,11 +462,11 @@ def test_mr_psi_table():
         # composite, and a strong probable prime to the first k bases
         assert len(factors) > 1 and all(f > 1 for f in factors)
         assert psi == math.prod(factors)
-        assert all(strong_probable_prime(psi, a) for a in _FIRST_13_PRIMES[:k]), k
-        assert k == 13 or not is_prime(psi)  # is_prime refuses psi_13
-        # where the next entry is larger, psi_k fails base k + 1
-        if k < 13 and _MR_PSI[k] > psi:
-            assert not strong_probable_prime(psi, _FIRST_13_PRIMES[k]), k
+        assert all(strong_probable_prime(psi, a) for a in _FIRST_5_PRIMES[:k]), k
+        assert k == 5 or not is_prime(psi)  # is_prime refuses psi_5
+        # psi_k fails base k + 1
+        if k < 5:
+            assert not strong_probable_prime(psi, _FIRST_5_PRIMES[k]), k
 
 
 def test_mr_psi_smallest_for_one_and_two_bases():
@@ -479,10 +489,10 @@ def test_is_prime_matches_all_bases_seeded():
     rng = random.Random(20240613)
     primes = refused = 0
     for _ in range(100_000):
-        n = rng.getrandbits(rng.randrange(11, 91))
+        n = rng.getrandbits(rng.randrange(11, 47))
         if matches_all_bases(n):
             primes += is_prime(n)
         else:
             refused += 1
     assert primes > 1000  # the early exits were taken
-    assert refused > 1000  # draws at or above psi_13 raise
+    assert refused > 1000  # draws at or above psi_5 raise

@@ -38,13 +38,13 @@ from sevencubes.construct import (
     verify,
 )
 from sevencubes.modulus import (
-    DIRECT_SCAN_BITS,
+    VALID_LO,
     AuxModulus,
     iter_moduli_direct,
     modulus_interval,
     steering_residues,
 )
-from sevencubes.arith import primes_upto
+from sevencubes.arith import integer_cbrt, primes_upto
 
 P5 = AuxModulus(5, (5,))
 P1 = AuxModulus(1, ())
@@ -357,61 +357,73 @@ def test_decompose_300_digit_record_pinned():
 
 
 # an 89-digit target whose window (about 2**95) is full of candidates with
-# composite cofactors, which factorize would have to split; it lies past
-# 2**DIRECT_SCAN_BITS and above construct.COMPOSITE_ROUTE_MIN, so none is
-# factored
+# composite cofactors, which factorize would have to split; it lies above
+# construct.COMPOSITE_ROUTE_MIN, so none is factored
 _PAST_THE_DIRECT_SCAN = int(
     "45224311216458038292176761525003882559427873509426807136010701777482448052627681566897482"
 )
 
 
-def test_every_modulus_factor_is_below_psi_13():
+def test_every_modulus_factor_is_below_psi_5():
     # every factor lies where is_prime is a proof: l < 2**38 on the composite
     # route, which every target here takes, being above COMPOSITE_ROUTE_MIN;
-    # test_modulus pins the direct scan's cap, 2**DIRECT_SCAN_BITS < psi_13
-    psi13 = arith._MR_PSI[-1]
-    n = 1786 * 26141**3 * (psi13 - 50) ** 3 - 1
+    # test_modulus pins that l and the largest direct window lie below psi_5
+    psi5 = arith._MR_PSI[-1]
+    n = 1786 * 26141**3 * (psi5 - 50) ** 3 - 1
     n -= (n - 2) % 4
     for target in (10**299 + 6, n, 10**30 + 2):
         tr = decompose(target)
         assert tr.branch == "construction" and tr.verified
-        assert max(tr.p_factors) < psi13, target
-    # windows above 2**DIRECT_SCAN_BITS, like every window above the gate,
-    # go to the composite route, whose S starts at 11 for a unit steering
-    # residue
+        assert max(tr.p_factors) < psi5, target
+    # windows above the largest direct window, like every window above the
+    # gate, go to the composite route, whose S starts at 11 for a unit
+    # steering residue
+    direct_top = integer_cbrt(construct.COMPOSITE_ROUTE_MIN // VALID_LO)
     for target in (10**82 + 2, _PAST_THE_DIRECT_SCAN):
         tr = decompose(target)
         assert tr.branch == "construction" and tr.verified
-        assert tr.p_value >= 2**DIRECT_SCAN_BITS and tr.p_factors[0] == 11
+        assert tr.p_value > direct_top and tr.p_factors[0] == 11
         assert max(tr.p_factors) < 2**38, target
 
 
 def test_decompose_keeps_its_modulus_past_uncertified_candidates(monkeypatch):
-    # a 75-digit target whose direct scan meets two candidates with composite
-    # cofactors (75 and 80 bits) before its first modulus; splitting them
-    # fully takes 0.7-1 s, only to reject both.  Each has two prime factors
-    # above arith.FACTOR_BOUND, so factorize gives up on each.  Between them
-    # lies the prime candidate 812705424367182519257083 = 1 (mod 6), never
-    # admissible: it gets no primality test, and factorize's gcd finds no
-    # factor and answers None.  The scan reaches the modulus
-    # 167 * 4866499547108877360821.  decompose, above COMPOSITE_ROUTE_MIN,
-    # runs only the composite route: no direct scan, so factorize sees no call
-    n = 958696032065439417300228502276629969866955385103362688738432078633236126958
-    results = []
+    # a 29-digit target just below COMPOSITE_ROUTE_MIN whose direct scan
+    # meets four candidates free of trial-division factors before its first
+    # modulus.  Three are primes = 1 (mod 6), never admissible: none gets a
+    # primality test, and factorize's gcd finds no factor and answers None.
+    # factorize splits the fourth, 10253 * 17881 = 5 (mod 6), after its one
+    # failed primality test, and 17881 = 1 (mod 6) rejects it.  The scan,
+    # and decompose, reach the modulus 5 * 4013 * 9137
+    n = 11005493439253152148481806762
+    results, tested = [], []
 
     def recording_factorize(m):
         results.append(arith.factorize(m))
         return results[-1]
 
+    def recording_is_prime(m):
+        tested.append(m)
+        return arith.is_prime(m)
+
     monkeypatch.setattr("sevencubes.modulus.factorize", recording_factorize)
-    assert next(iter_moduli_direct(n)) == AuxModulus(
-        812705424367182519257107, (167, 4866499547108877360821)
-    )
-    assert results == [None, None, None]
+    monkeypatch.setattr("sevencubes.modulus.is_prime", recording_is_prime)
+    first = AuxModulus(183333905, (5, 4013, 9137))
+    assert next(iter_moduli_direct(n)) == first
+    assert results == [None, None, [(10253, 1), (17881, 1)], None]
+    assert tested == [10253 * 17881]
+    tr = decompose(n)
+    assert tr.branch == "construction" and tr.verified
+    assert (tr.p_value, tr.p_factors) == (first.value, first.primes)
+    # a 75-digit target, above the gate, runs only the composite route: the
+    # direct scan refuses it, so factorize sees no call
+    results.clear()
+    n = 958696032065439417300228502276629969866955385103362688738432078633236126958
+    with pytest.raises(ValueError):
+        next(iter_moduli_direct(n))
     tr = decompose(n)
     assert tr.branch == "construction" and tr.verified
     assert tr.p_factors[0] == 11 and max(tr.p_factors) < 2**38
-    assert results == [None, None, None]
+    assert results == []
 
 
 @pytest.mark.parametrize("v", [0, 1, 2], ids=["unit", "five", "twentyfive"])

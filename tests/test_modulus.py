@@ -14,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevencubes import decompose, modulus
-from sevencubes.arith import _MR_PSI, factorize, is_prime, primes_upto
+from sevencubes.arith import (
+    _MR_PSI,
+    FACTOR_BOUND,
+    factorize,
+    integer_cbrt,
+    is_prime,
+    primes_upto,
+)
 from sevencubes.modulus import (
+    COMPOSITE_ROUTE_MIN,
     LARGE_PRIME_FLOOR,
     VALID_HI,
     VALID_LO,
@@ -156,10 +164,11 @@ def test_direct_scan_proves_no_cofactor_1_mod_6(monkeypatch):
 
 
 def test_admissible_factors_gives_up_past_the_factor_bound(monkeypatch):
-    # two primes = 5 (mod 6) near 2**35: an admissible modulus, but both lie
-    # above arith.FACTOR_BOUND, so one factorize call gives up and the value
-    # is not certified
-    p, q = islice((m for m in count(2**35 - 3, -6) if naive_admissible_factors(m) == (m,)), 2)
+    # two primes = 5 (mod 6) near 2**20: an admissible modulus below psi_5,
+    # but both lie above arith.FACTOR_BOUND, so one factorize call gives up
+    # and the value is not certified
+    p, q = islice((m for m in count(2**20 - 5, -6) if naive_admissible_factors(m) == (m,)), 2)
+    assert p * q < _MR_PSI[-1]
     calls = []
 
     def counting_factorize(m):
@@ -172,10 +181,11 @@ def test_admissible_factors_gives_up_past_the_factor_bound(monkeypatch):
 
 
 def test_admissible_factors_matches_naive_seeded():
-    # values of 20 to DIRECT_SCAN_BITS bits built from primes on both sides
-    # of every bound in admissible_factors (200, the trial bound 10**4,
-    # 10007**2), repeats allowed, with at most one prime above 2 * 10**4 so
-    # that the naive reference stays fast
+    # values of 20 bits and up built from primes on both sides of every
+    # bound in admissible_factors (200, the trial bound 10**4, 10007**2),
+    # repeats allowed, with at most one prime above 2 * 10**4 so that the
+    # naive reference stays fast, and the part past the trial bound below
+    # psi_5
     rng = random.Random(1618)
     pool = primes_upto(2 * 10**4)
     small = [p for p in pool if p < 200]
@@ -188,24 +198,30 @@ def test_admissible_factors_matches_naive_seeded():
             big.append(cand)  # a prime = 5 (mod 6)
     checked = admitted = 0
     while checked < 1000:
-        n = rng.choice(big) if rng.random() < 0.3 else 1
+        n = cofactor = rng.choice(big) if rng.random() < 0.3 else 1
         while n.bit_length() < 20 or rng.random() < 0.6:
             source = rng.choice((small, trial, trial, past))
             p = rng.choice(source)
             if p % 6 != 5 and rng.random() < 0.8:
                 continue  # mostly good primes, so that many values get far
             n *= p
-        if n.bit_length() > modulus.DIRECT_SCAN_BITS:
+            if source is past:
+                cofactor *= p
+        if cofactor >= _MR_PSI[-1]:
             continue
         expected = naive_admissible_factors(n)
         assert admissible_factors(n) == expected, n
         checked += 1
         admitted += expected is not None
     assert admitted > 200
-    # and uniformly random values of 20-34 bits
+    # and uniformly random values of 20-34 bits; one with two prime factors
+    # above FACTOR_BOUND is not certified, admissible or not
     for _ in range(500):
         n = rng.getrandbits(rng.randrange(20, 35)) | 1 << 19
-        assert admissible_factors(n) == naive_admissible_factors(n), n
+        expected = naive_admissible_factors(n)
+        if expected and sum(p > FACTOR_BOUND for p in expected) > 1:
+            expected = None
+        assert admissible_factors(n) == expected, n
 
 
 def test_aux_modulus_validation():
@@ -348,53 +364,44 @@ def test_iter_moduli_direct_scan_limit(monkeypatch):
     assert 0 < len(limited) < len(whole)
 
 
-def test_direct_scan_cap(monkeypatch):
-    # lower the cap to 20 bits and take n whose interval straddles 2**20
-    n = 1700 * 2**60 + 2
-    lo, hi = modulus_interval(n)
-    assert lo < 2**20 < hi
-    unclipped = [m.value for m in iter_moduli_direct(n)]
-    below = [v for v in unclipped if v < 2**20]
-    assert below and len(below) < len(unclipped)
-
-    seen_admissible, seen_factorize = [], []
-
-    def recording_admissible(m):
-        seen_admissible.append(m)
-        return admissible_factors(m)
-
-    def recording_factorize(m):
-        seen_factorize.append(m)
-        return factorize(m)
-
-    monkeypatch.setattr(modulus, "DIRECT_SCAN_BITS", 20)
-    monkeypatch.setattr(modulus, "admissible_factors", recording_admissible)
-    monkeypatch.setattr(modulus, "factorize", recording_factorize)
-    assert [m.value for m in iter_moduli_direct(n)] == below
-    assert seen_admissible and max(seen_admissible) < 2**20
-    # below 2**20 no cofactor reaches factorize (10007**2 > 2**20); the check
-    # guards a lower trial bound or a higher test cap
-    assert all(m < 2**20 for m in seen_factorize)
-    # past the cap the scan yields nothing and examines nothing
-    seen_admissible.clear()
-    assert list(iter_moduli_direct(4 * 2**60 * 1786 + 2)) == []
-    assert seen_admissible == []
+def test_iter_moduli_direct_stops_at_the_gate():
+    # the size gate is the direct scan's only bound: the last n = 2 (mod 4)
+    # at or below it still gets a modulus, and every n above it is refused
+    last = COMPOSITE_ROUTE_MIN - (COMPOSITE_ROUTE_MIN - 2) % 4
+    assert last == 11225849042617303034060865534
+    m = next(iter_moduli_direct(last))
+    assert m == AuxModulus(184549399, (17, 10855847))
+    assert modulus_valid(last, m.value) and m.value < 1.91e8
+    assert naive_admissible_factors(m.value) == m.primes
+    for n in (last + 4, COMPOSITE_ROUTE_MIN + 2, 10**82 + 2):
+        with pytest.raises(ValueError, match="COMPOSITE_ROUTE_MIN"):
+            next(iter_moduli_direct(n))
 
 
-def test_admissible_factors_refuses_values_over_the_cap():
-    n = 999999999999999989 * (10**18 + 9)  # 120 bits
-    with pytest.raises(ValueError):
-        admissible_factors(n)
-    with pytest.raises(ValueError):
-        admissible_factors(2**modulus.DIRECT_SCAN_BITS + 1)
-    assert admissible_factors(2**modulus.DIRECT_SCAN_BITS - 1) is None  # 7 | 2**81 - 1
+def test_admissible_factors_raises_on_a_cofactor_past_psi_5():
+    # no answer rests on an unproven test: past the trial division, a
+    # cofactor at or above psi_5 raises, from is_prime when it is = 5 (mod 6)
+    # and from factorize otherwise; a small factor that rejects n comes first
+    q = 2**61 - 1  # prime, = 1 (mod 6)
+    admissible = 10007 * 10037 * 30011  # three primes = 5 (mod 6)
+    assert q % 6 == 1 and admissible % 6 == 5 and admissible > _MR_PSI[-1]
+    with pytest.raises(ValueError, match="is_prime"):
+        admissible_factors(11 * admissible)
+    with pytest.raises(ValueError, match="factorize"):
+        admissible_factors(11 * q)
+    assert admissible_factors(7 * q) is None
 
 
-def test_direct_scan_cap_lies_below_psi_13():
-    # 2**DIRECT_SCAN_BITS is the largest power of two below psi_13, so every
-    # candidate, cofactor and factorize part is in is_prime's proven range
-    bits = modulus.DIRECT_SCAN_BITS
-    assert 2**bits < _MR_PSI[-1] < 2 ** (bits + 1)
+def test_every_modulus_bound_lies_below_psi_5():
+    # the largest l the composite route reaches, below
+    # max(_SMOOTH_PRIMES) * 2**24 * (1786/1618)**(1/3), and the top of the
+    # largest direct window both lie below psi_5, so is_prime proves every
+    # factor of every modulus
+    psi5 = _MR_PSI[-1]
+    top = max(modulus._SMOOTH_PRIMES) * LARGE_PRIME_FLOOR
+    assert VALID_HI * top**3 < VALID_LO * psi5**3
+    assert VALID_HI * top**3 < VALID_LO * (2**38) ** 3
+    assert integer_cbrt(COMPOSITE_ROUTE_MIN // VALID_LO) < 1.91e8 < psi5
 
 
 # -- composite route ----------------------------------------------------------
