@@ -84,15 +84,10 @@ def steering_table_report() -> dict:
     columns = []
     all_ok = True
     for r, b_plus, b_minus in zip(_TABLE1_COLUMNS, _TABLE1_PLUS, _TABLE1_MINUS):
-        choice = steering_residues(r)
+        computed = steering_residues(r)
         q_plus = residual_class(r, b_plus)
         q_minus = residual_class(r, b_minus)
-        ok = (
-            choice.branch == "unit"
-            and set(choice.candidates) == {b_plus, b_minus}
-            and q_plus == 20
-            and q_minus == 5
-        )
+        ok = set(computed) == {b_plus, b_minus} and q_plus == 20 and q_minus == 5
         all_ok &= ok
         columns.append(
             {
@@ -101,7 +96,7 @@ def steering_table_report() -> dict:
                 "b_minus": b_minus,
                 "q0_plus": q_plus,
                 "q0_minus": q_minus,
-                "computed": list(choice.candidates),
+                "computed": list(computed),
                 "ok": ok,
             }
         )
@@ -114,7 +109,7 @@ def steering_table_text() -> str:
     lines = ["# steering pairs mod 25: residue b_plus b_minus"]
     for r in range(1, 25):
         if r % 5:
-            pair = steering_residues(r).candidates
+            pair = steering_residues(r)
             bp, bm = pair if residual_class(r, pair[0]) == 20 else pair[::-1]
             lines.append(f"{r} {bp} {bm}")
     return "\n".join(lines) + "\n"
@@ -145,14 +140,13 @@ def steering_uniqueness_report() -> dict:
         )
         sweep_ok = sorted(values) == [0, 5, 10, 15, 20]
         selected = [b for b, v in zip(lifts, values) if v in (5, 20)]
-        choice = steering_residues(r)
         ok = (
             derivative % 5 == b0 % 5
             and derivative % 5 != 0
             and linear_ok
             and sweep_ok
             and len(selected) == 2
-            and set(selected) == set(choice.candidates)
+            and set(selected) == set(steering_residues(r))
         )
         all_ok &= ok
         columns.append(

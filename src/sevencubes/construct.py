@@ -40,12 +40,11 @@ from .arith import (
     _GCD_SIEVE_PRODUCT,
     cube_root_mod_6n,
     is_perfect_square,
+    is_prime,
     jacobi,
     primes_upto,
     split_squarefree,
 )
-# unused here: perfbench/tracing.py replaces construct.is_prime by name
-from .arith import is_prime  # noqa: F401
 from .modulus import (
     COMPOSITE_ROUTE_MIN,
     IDENTITY_CONSTANT,
@@ -417,9 +416,8 @@ class Trace:
     (exhaustive search on n itself, or the stored table of 125 * n0 for an
     exception n0 at e == 1), or "scaled" (any route applied to a smaller
     target and scaled by a power of 5).  Construction-specific
-    fields are None on the other branches.  Every factor in `p_factors` was
-    proven prime when the modulus was found; recheck() needs no primality
-    test.
+    fields are None on the other branches.  Every factor in `p_factors` lies
+    below psi_5, where is_prime is a proof, and recheck() proves each again.
     """
 
     n: int
@@ -467,20 +465,27 @@ class Trace:
         return self.verified
 
     def _route_holds(self) -> bool:
-        """The identity route, checked exactly without any primality test:
-        p in its window for n0; its factors an AuxModulus certificate
-        (strictly increasing, each == 5 (mod 6), product p); the anchor x0
-        positive and even; the residual 24*p*q == n0 - x0**3 - 1402*p**3,
-        which also gives the anchor congruence x0**3 == n0 - 1402*p**3
-        (mod 6p); the witness q == x1**2 + 2*x3**2 + 5*(x2/2)**2; and the
-        cubes equal to 5**e * (x0, 4p +- x1, 5p +- x2, 8p +- x3)."""
+        """The identity route, checked exactly: p in its window for n0; its
+        factors an AuxModulus certificate (strictly increasing, each
+        == 5 (mod 6), product p), each proven prime by is_prime (a factor
+        at or above psi_5 fails); the anchor x0 positive and even; the
+        residual 24*p*q == n0 - x0**3 - 1402*p**3, which also gives the
+        anchor congruence x0**3 == n0 - 1402*p**3 (mod 6p); the witness
+        q == x1**2 + 2*x3**2 + 5*(x2/2)**2; and the cubes equal to
+        5**e * (x0, 4p +- x1, 5p +- x2, 8p +- x3).  p, its factors, x0, q,
+        x1, x2 and x3 must be ints (None, bools and floats fail); lists count
+        as tuples, so a trace rebuilt from its JSON record rechecks."""
         p, n0, x0, q = self.p_value, self.n0, self.x0, self.q
         x1, x2, x3, factors = self.x1, self.x2, self.x3, self.p_factors
-        if None in (factors, x0, q, x1, x2, x3):
+        if not isinstance(factors, (tuple, list)) or not all(
+            type(v) is int for v in (p, x0, q, x1, x2, x3, *factors)
+        ):
             return False
         try:
-            AuxModulus(p, factors)
-        except ValueError:
+            AuxModulus(p, tuple(factors))
+            if not all(map(is_prime, factors)):
+                return False
+        except ValueError:  # an invalid certificate, or a factor past psi_5
             return False
         return (
             modulus_valid(n0, p)
@@ -489,7 +494,8 @@ class Trace:
             and n0 - x0**3 - IDENTITY_CONSTANT * p**3 == 24 * p * q
             and x2 % 2 == 0
             and q == x1 * x1 + 2 * x3 * x3 + 5 * (x2 // 2) ** 2
-            and self.cubes == tuple(5**self.e * c for c in _identity_bases(p, x0, x1, x2, x3))
+            and tuple(self.cubes)
+            == tuple(5**self.e * c for c in _identity_bases(p, x0, x1, x2, x3))
         )
 
     def to_record(self) -> dict:
@@ -521,15 +527,13 @@ def _candidate_moduli(n: int) -> Iterator[AuxModulus]:
     if n <= COMPOSITE_ROUTE_MIN:
         yield from iter_moduli_direct(n)
     else:
-        for b in steering_residues(n).candidates:
+        for b in steering_residues(n):
             yield from iter_moduli_composite(n, b)
 
 
 def _construct(n: int) -> Trace | None:
     """Identity route for n == 2 (mod 4), 125 not dividing n; None if no
     admissible modulus in the window yields an admissible residual."""
-    if n % 4 != 2:
-        raise ValueError("the constructive route needs n == 2 (mod 4)")
     for modulus in _candidate_moduli(n):
         x0 = anchor_root(n, modulus)
         q = residual_quotient(n, modulus.value, x0)
@@ -562,14 +566,18 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
     """Decompose n into seven nonnegative cubes with a full audit trace.
 
     One pipeline: write n = 125**e * n0, answer n0 by one route, then scale
-    the cubes by a power of 5 and recheck the trace once.  The route for n0:
+    the cubes by a power of 5 and recheck the trace once (ConstructionError
+    if the recheck fails).  The route for n0:
 
-    * one of the 17 true exceptions: NotRepresentableError when e == 0,
-      else the stored seven-cube table of 125 * n0, scaled by 5**(e-1);
+    * one of the 17 true exceptions at e >= 1: the stored seven-cube table
+      of 125 * n0, scaled by 5**(e-1);
     * n0 == 2 (mod 4): the identity route, when one of its moduli works;
     * otherwise the exhaustive search, up to n0 <= `search_max_n`
       (OutOfScopeError above it; NotRepresentableError if it proves there
-      is no representation).  n == 0 takes this route too.
+      is no representation).  n == 0 takes this route too, and so does an
+      exception at e == 0: NotRepresentableError comes only from a finished
+      descent, so with `search_max_n` below such an n0 (all are <= 454) the
+      answer is OutOfScopeError.
 
     The identity route runs one modulus scan, chosen by size, and has fixed
     budgets, which live in the module of the step they bound.  For n0 up to
@@ -590,9 +598,7 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
         raise ValueError("n must be nonnegative")
     n0, e = reduce_125(n) if n else (0, 0)
 
-    if n0 in EXCEPTIONS:
-        if e == 0:
-            raise NotRepresentableError(f"{n} is not a sum of seven nonnegative cubes")
+    if e and n0 in EXCEPTIONS:
         # 125 * n0 always has a seven-positive-cube table entry
         cubes = exceptional_cube_tables()[n0][1]
         trace = Trace(n=125 * n0, n0=n0, e=1, branch="fallback", cubes=cubes)
@@ -616,5 +622,6 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
         trace = replace(
             trace, n=n, e=e, branch="scaled", cubes=tuple(c * scale for c in trace.cubes)
         )
-    trace.recheck()
+    if not trace.recheck():
+        raise ConstructionError(f"the {trace.branch} trace of n0 = n / 125**{e} fails recheck")
     return trace

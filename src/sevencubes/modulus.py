@@ -54,7 +54,6 @@ __all__ = [
     "VALID_LO",
     "VALID_HI",
     "AuxModulus",
-    "SteeringChoice",
     "admissible_factors",
     "iter_moduli_composite",
     "iter_moduli_direct",
@@ -122,14 +121,6 @@ class AuxModulus:
             raise ValueError("value does not match its factorization")
 
 
-@dataclass(frozen=True)
-class SteeringChoice:
-    """Candidate residues mod 25 for the modulus, by 5-adic branch of n."""
-
-    branch: str  # "unit" | "five" | "twentyfive"
-    candidates: tuple[int, ...]  # ascending, all nonzero mod 25
-
-
 def admissible_factors(n: int) -> tuple[int, ...] | None:
     """The prime factors of n if n is an admissible modulus that trial
     division up to arith.FACTOR_BOUND splits, times at most one prime, else
@@ -193,10 +184,10 @@ def residual_class(n: int, b: int) -> int:
     return (n - IDENTITY_CONSTANT * b**3) * pow(24 * b, -1, 25) % 25
 
 
-def steering_residues(n: int) -> SteeringChoice:
-    """Residues b mod 25 such that steering the modulus into b keeps the
-    residual quotient q out of the classes 0, 10, 15 (mod 25) that the
-    ternary form misses.
+def steering_residues(n: int) -> tuple[int, ...]:
+    """The residues b mod 25, ascending, such that steering the modulus into
+    b keeps the residual quotient q out of the classes 0, 10, 15 (mod 25)
+    that the ternary form misses.
 
     For 5 not dividing n there are exactly two such units b, one for each
     sign in q = +-5 (mod 25); for 5 | n the viable residues are multiples
@@ -207,14 +198,12 @@ def steering_residues(n: int) -> SteeringChoice:
     if n % 5:
         return _unit_steering(n % 25)
     if n % 25:
-        return SteeringChoice("five", (5, 10, 15, 20))
-    if n % 125 in (25, 100):
-        return SteeringChoice("twentyfive", (5, 20))
-    return SteeringChoice("twentyfive", (10, 15))
+        return (5, 10, 15, 20)
+    return (5, 20) if n % 125 in (25, 100) else (10, 15)
 
 
 @cache
-def _unit_steering(r: int) -> SteeringChoice:
+def _unit_steering(r: int) -> tuple[int, ...]:
     """steering_residues for n == r (mod 25), 5 not dividing r: residual_class
     depends on n only mod 25, so the 20 classes form a table, each entry
     built on first use."""
@@ -223,7 +212,7 @@ def _unit_steering(r: int) -> SteeringChoice:
     cands = tuple(b for b in range(1, 25) if b % 5 and residual_class(r, b) in (5, 20))
     if len(cands) != 2:
         raise AssertionError(f"steering residues for {r} mod 25: {list(cands)}")
-    return SteeringChoice("unit", cands)
+    return cands
 
 
 def modulus_valid(n: int, m: int) -> bool:

@@ -57,6 +57,9 @@ def test_decompose_not_representable(capsys):
     code, _, err = run(capsys, "decompose", "454")
     assert code == 1
     assert "454" in err
+    # only a finished descent proves it: a search budget below 454 exits 3
+    code, _, err = run(capsys, "decompose", "454", "--budget-search", "453")
+    assert code == 3 and "search budget 453" in err
 
 
 def test_decompose_budget_exhausted(capsys):
@@ -396,6 +399,7 @@ def test_decompose_above_the_composite_edge_exits_3():
     "certify gaps --set admissible --res 50 --lo 382670 --hi 400000",
     "certify gaps --res 3",
     "certify gaps --lo 26669 --hi 26680",
+    "certify gaps --hi 3_0000",
     "certify gaps --set admissible --lo 382670 --hi 382700",
     "certify gaps --set admissible --mod 7",
     # an option the chosen report does not read

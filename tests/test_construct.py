@@ -45,6 +45,7 @@ from sevencubes.modulus import (
     steering_residues,
 )
 from sevencubes.arith import integer_cbrt, primes_upto
+from sevencubes.search import EXCEPTIONS
 
 P5 = AuxModulus(5, (5,))
 P1 = AuxModulus(1, ())
@@ -433,7 +434,7 @@ def test_decompose_composite_route_every_branch(v):
         n += 4
     tr = decompose(n)
     assert tr.branch == "construction" and tr.p_value > 2**96
-    assert tr.b in steering_residues(n).candidates
+    assert tr.b in steering_residues(n)
     assert (tr.p_factors[0] == 5) == (v > 0)
     assert tr.verified and tr.recheck()
 
@@ -692,11 +693,20 @@ def test_decompose_exceptions_raise():
     for n in (15, 22, 23, 50, 239, 454):
         with pytest.raises(NotRepresentableError):
             decompose(n)
+    # only a finished descent proves an exception: a search budget below it
+    # leaves it out of scope, and the budget at it proves it
+    for n in EXCEPTIONS:
+        with pytest.raises(OutOfScopeError):
+            decompose(n, search_max_n=n - 1)
+        with pytest.raises(NotRepresentableError):
+            decompose(n, search_max_n=n)
 
 
 def test_decompose_exceptional_scaled():
     tr = decompose(2750)  # 125 * 22: five positive cubes exist at this scale
     assert tr.branch == "fallback" and tr.e == 1 and tr.n0 == 22
+    # the stored table answers whatever the search budget
+    assert decompose(2750, search_max_n=0) == tr
     assert tr.verified and min(tr.cubes) >= 0
 
     tr2 = decompose(125 * 125 * 22)
@@ -843,14 +853,32 @@ def test_trace_recheck_accepts_identity_traces():
     worked = _identity_trace(5, (5,), 2, 15, 0, 0)
     assert worked.recheck() and worked == decompose(202258)
     assert _identity_trace(5, (5,), 2, 15, 0, 0, e=2).recheck()
-    for n in (1626, 202258, 125**2 * 202258, 10**18 + 2, 10**299 + 6, 999999, 125 * 23):
-        assert decompose(n).recheck(), n
+    # every route, also rebuilt from its JSON record: construction, scaled
+    # construction, a three-prime modulus, the composite route, the descent
+    # and the tables of 125 * 23 and 125 * 22
+    for n in (1626, 202258, 125**2 * 202258, 10**18 + 2, 10**24 + 6, 10**299 + 6,
+              999999, 125 * 23, 2750):
+        tr = decompose(n)
+        record = json.loads(json.dumps(tr.to_record()))
+        rebuilt = Trace(**record)
+        assert tr.recheck() and rebuilt.recheck() and rebuilt.to_record() == record, n
+
+
+def test_decompose_raises_when_its_trace_fails_recheck(monkeypatch):
+    monkeypatch.setattr(Trace, "_route_holds", lambda self: False)
+    with pytest.raises(ConstructionError, match="fails recheck"):
+        decompose(202258)
+
+
+# the least value == 5 (mod 6) at or above psi_5
+PAST_PSI_5 = 2_152_302_898_751
 
 
 def test_trace_recheck_detects_tampering():
     tr = decompose(1626)
     tr.cubes = (2, 7, 1, 5, 5, 8, 9)
     assert not tr.recheck() and not tr.verified
+    assert PAST_PSI_5 >= arith._MR_PSI[-1]
 
     real = decompose(10**18 + 2)  # p = 82445 = 5 * 11 * 1499
     assert real.p_factors == (5, 11, 1499)
@@ -879,6 +907,16 @@ def test_trace_recheck_detects_tampering():
         "scaled branch for the table of 125 * 22": replace(decompose(2750), branch="scaled"),
         "fallback branch with a modulus": replace(real, branch="fallback"),
         "b is not p mod 25": replace(real, b=real.b + 1),
+        # p = 8242223 = 11 * 191 * 3923 is == 5 (mod 6) but not prime
+        "composite factor": replace(decompose(10**24 + 6), p_factors=(8242223,)),
+        # psi_5 <= P == 5 (mod 6): is_prime proves nothing there
+        "factor past psi_5": _identity_trace(PAST_PSI_5, (PAST_PSI_5,), 6 * PAST_PSI_5, 1, 0, 0),
+        # the float product 5.0 * 11 * 1499 equals p, yet a float is no proof
+        "float factor": replace(real, p_factors=(5.0, 11, 1499)),
+        "float p": replace(real, p_value=float(real.p_value)),
+        "string anchor": replace(real, x0=str(real.x0)),
+        "bool witness": replace(decompose(202258), x2=False),  # x2 == 0 there
+        "factors not a sequence": replace(real, p_factors=5 * 11 * 1499),
     }
     for why, tr in tampered.items():
         assert verify(tr.cubes, tr.n), why  # the cube sum alone misses each one

@@ -28,7 +28,6 @@ from sevencubes.modulus import (
     VALID_HI,
     VALID_LO,
     AuxModulus,
-    SteeringChoice,
     admissible_factors,
     iter_moduli_composite,
     iter_moduli_direct,
@@ -255,13 +254,12 @@ def oracle_steering(n):
 
 
 def test_steering_spot_values():
-    choice = steering_residues(202258)
-    assert (choice.branch, choice.candidates) == ("unit", (4, 14))
-    assert steering_residues(10).candidates == (5, 10, 15, 20)
-    assert steering_residues(50).candidates == (10, 15)
-    assert steering_residues(75).candidates == (10, 15)
-    assert steering_residues(25).candidates == (5, 20)
-    assert steering_residues(100).candidates == (5, 20)
+    assert steering_residues(202258) == (4, 14)
+    assert steering_residues(10) == (5, 10, 15, 20)
+    assert steering_residues(50) == (10, 15)
+    assert steering_residues(75) == (10, 15)
+    assert steering_residues(25) == (5, 20)
+    assert steering_residues(100) == (5, 20)
     with pytest.raises(ValueError):
         steering_residues(125)
     with pytest.raises(ValueError):
@@ -272,9 +270,8 @@ def test_steering_matches_oracle_exhaustive():
     for n in range(1, 2000):
         if n % 125 == 0:
             continue
-        choice = steering_residues(n)
         branch, candidates = oracle_steering(n)
-        assert (choice.branch, choice.candidates) == (branch, candidates), n
+        assert steering_residues(n) == candidates, n
         if branch == "unit":
             assert len(candidates) == 2
 
@@ -288,7 +285,7 @@ def test_steering_table_matches_the_rule_at_every_size():
         for n in (r, 10**12 * 25 + r, 10**300 * 25 + r):
             rule = tuple(b for b in range(1, 25) if b % 5 and residual_class(n, b) in (5, 20))
             assert len(rule) == 2
-            assert steering_residues(n) == SteeringChoice("unit", rule), n
+            assert steering_residues(n) == rule, n
             assert oracle_steering(n) == ("unit", rule)
 
 
@@ -444,7 +441,9 @@ _SMOOTH = [p for p in primes_upto(10_000) if p % 6 == 5 and p > 5]
 def test_iter_moduli_composite_smooth_modulus(n):
     for v in (0, 1, 2):
         target = _five_adic(n, v)
-        assert steering_residues(target).branch == ("unit", "five", "twentyfive")[v]
+        branch, candidates = oracle_steering(target)
+        assert branch == ("unit", "five", "twentyfive")[v]
+        assert steering_residues(target) == candidates
         lo, hi = modulus_interval(target)
         half = (target // 2) % 4
         for b in range(1, 25):
