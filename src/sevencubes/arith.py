@@ -1,8 +1,9 @@
 """Exact integer arithmetic: prime sieving, primality tests, factorization
 of a value with a prime factor up to FACTOR_BOUND into such primes times at
-most one larger prime, integer roots, integer bitsets, Chinese remaindering,
-and cube roots to moduli of the form 6n with n a squarefree product of
-primes congruent to 5 mod 6.
+most one larger prime, integer roots, integer bitsets and Chinese
+remaindering.  Cube roots modulo 6 times an admissible modulus are
+modulus.AuxModulus.cube_root, and the split of the trial primes that the
+direct modulus scan divides by lives in modulus too.
 
 Everything operates on plain Python ints (arbitrary precision).  Integers
 serialize as decimal strings with no separators.
@@ -13,18 +14,14 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "FACTOR_BOUND",
     "TRIAL_DIVISION_BOUND",
-    "TRIAL_LOOP_PRIMES",
-    "TRIAL_PRIMES_5_MOD_6",
-    "TRIAL_PRODUCT_1_MOD_6",
-    "TRIAL_PRODUCT_5_MOD_6",
+    "bin_digits",
     "clear_bits",
     "crt",
-    "cube_root_mod_6n",
     "factorize",
     "has_small_factor",
     "integer_cbrt",
@@ -54,8 +51,7 @@ _MR_PSI = (
 )
 
 # modulus.admissible_factors trial-divides by the primes up to this bound, by a
-# loop and two gcds (see TRIAL_LOOP_PRIMES); factorize takes only the
-# cofactors that have none of them
+# loop and two gcds; factorize takes only the cofactors that have none of them
 TRIAL_DIVISION_BOUND = 10_000
 
 # factorize splits off the primes in (TRIAL_DIVISION_BOUND, FACTOR_BOUND] by
@@ -95,12 +91,17 @@ def primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), prime_sieve(n)))
 
 
-def clear_bits(bits: int, n: int) -> list[int]:
-    """The i <= n whose bit is clear in the integer bitset `bits`."""
+def bin_digits(bits: int, n: int) -> str:
+    """Bits 0 to n of the integer bitset `bits` as n + 1 digits "0" or "1",
+    bit 0 first."""
     # bin() gives the bits highest first; the set bit n + 1 pads it to n + 2
     # digits, and [:2:-1] reverses them without "0b" and that bit
-    digits = bin(bits & ((1 << (n + 1)) - 1) | 1 << (n + 1))[:2:-1]
-    return [i for i, bit in enumerate(digits) if bit == "0"]
+    return bin(bits & ((1 << (n + 1)) - 1) | 1 << (n + 1))[:2:-1]
+
+
+def clear_bits(bits: int, n: int) -> list[int]:
+    """The i <= n whose bit is clear in the integer bitset `bits`."""
+    return [i for i, bit in enumerate(bin_digits(bits, n)) if bit == "0"]
 
 
 # has_small_factor rejects a composite with a prime factor up to
@@ -212,17 +213,8 @@ def split_squarefree(g: int, primes: Iterable[int]) -> list[int]:
     return found
 
 
-# The trial primes as modulus.admissible_factors takes them: a loop over those
-# below 200, then one gcd with the product of the rest that are 1 (mod 6) and
-# one with the product of those that are 5 (mod 6); 2 and 3 are in the loop.
-# The three together make the product that checks factorize's precondition.
-_trial_primes = primes_upto(TRIAL_DIVISION_BOUND)
-TRIAL_LOOP_PRIMES = tuple(p for p in _trial_primes if p < 200)
-TRIAL_PRIMES_5_MOD_6 = tuple(p for p in _trial_primes if p >= 200 and p % 6 == 5)
-TRIAL_PRODUCT_5_MOD_6 = math.prod(TRIAL_PRIMES_5_MOD_6)
-TRIAL_PRODUCT_1_MOD_6 = math.prod(p for p in _trial_primes if p >= 200 and p % 6 == 1)
-_TRIAL_PRODUCT = math.prod(TRIAL_LOOP_PRIMES) * TRIAL_PRODUCT_1_MOD_6 * TRIAL_PRODUCT_5_MOD_6
-del _trial_primes
+# checks factorize's precondition: no prime factor up to TRIAL_DIVISION_BOUND
+_TRIAL_PRODUCT = math.prod(primes_upto(TRIAL_DIVISION_BOUND))
 
 
 @lru_cache(maxsize=1)
@@ -325,26 +317,3 @@ def crt(pairs: Iterable[tuple[int, int]]) -> int:
         x %= m
     return x
 
-
-def cube_root_mod_6n(a: int, primes: Sequence[int]) -> int:
-    """The unique x in [0, 6n) with x**3 = a (mod 6n), where n is the
-    product of `primes`: distinct primes all congruent to 5 mod 6.
-
-    Cubing is a bijection mod 2 and mod 3 (x**3 = x there) and mod every
-    prime p = 5 (mod 6), where the inverse map is c -> c**((2p-1)/3): note
-    3 | 2p - 1 and (c**((2p-1)/3))**3 = c**(2(p-1)) * c = c (mod p).
-    """
-    n = 1
-    prev = 0
-    for p in primes:
-        if p % 6 != 5:
-            raise ValueError(f"{p} is not congruent to 5 mod 6")
-        if p <= prev:
-            raise ValueError("primes must be strictly increasing")
-        prev = p
-        n *= p
-    a %= 6 * n
-    pairs = [(a % 2, 2), (a % 3, 3)]
-    for p in primes:
-        pairs.append((pow(a % p, (2 * p - 1) // 3, p), p))
-    return crt(pairs)

@@ -31,7 +31,7 @@ from itertools import compress
 from math import isqrt
 
 from .arith import clear_bits, prime_sieve, primes_upto
-from .construct import IDENTITY_CONSTANT, dickson_excluded
+from .construct import IDENTITY_CONSTANT, _identity_bases, dickson_excluded
 from .modulus import (
     VALID_HI,
     VALID_LO,
@@ -496,7 +496,8 @@ def identity_report(samples: int, seed: int = 0) -> dict:
     """Randomised exact check of the six-cube identity.
 
     For random p >= 1 and arbitrary-sign offsets the two sides must agree
-    exactly as integers; a single failure would falsify the whole route.
+    exactly as integers; a single failure would falsify the whole route.  The
+    left side sums the cubes of the bases decompose and recheck build.
     """
     rng = random.Random(seed)
     failures = 0
@@ -505,14 +506,7 @@ def identity_report(samples: int, seed: int = 0) -> dict:
         a = rng.randint(-(10**6), 10**6)
         b = rng.randint(-(10**6), 10**6)
         c = rng.randint(-(10**6), 10**6)
-        lhs = (
-            (4 * p + a) ** 3
-            + (4 * p - a) ** 3
-            + (5 * p + b) ** 3
-            + (5 * p - b) ** 3
-            + (8 * p + c) ** 3
-            + (8 * p - c) ** 3
-        )
+        lhs = sum(x**3 for x in _identity_bases(p, 0, a, b, c))
         rhs = IDENTITY_CONSTANT * p**3 + 6 * p * (4 * a * a + 5 * b * b + 8 * c * c)
         if lhs != rhs:
             failures += 1

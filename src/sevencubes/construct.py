@@ -30,7 +30,7 @@ exceptions are routed to the exhaustive search / stored tables instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple
@@ -38,7 +38,6 @@ from typing import Iterator, NamedTuple
 from .arith import (
     _GCD_SIEVE_BOUND,
     _GCD_SIEVE_PRODUCT,
-    cube_root_mod_6n,
     is_perfect_square,
     is_prime,
     jacobi,
@@ -119,7 +118,7 @@ def anchor_root(n: int, modulus: AuxModulus) -> int:
     automatically even; an odd root means the inputs were invalid.
     """
     p = modulus.value
-    x0 = cube_root_mod_6n(n - IDENTITY_CONSTANT * p**3, modulus.primes)
+    x0 = modulus.cube_root(n - IDENTITY_CONSTANT * p**3)
     if x0 == 0:
         x0 = 6 * p
     if x0 % 2:
@@ -242,8 +241,6 @@ def _binary_part(m: int) -> tuple[int, int] | None:
     is proven.  Below 3000**2 the answer is complete: None means m is not
     a*a + 2*b*b.  Above it, None only says that P's pair was not found.
     """
-    if m == 0:
-        return (0, 0)
     s = is_perfect_square(m)
     if s is not None:
         return (s, 0)
@@ -251,8 +248,6 @@ def _binary_part(m: int) -> tuple[int, int] | None:
     while t % 4 == 0:
         t //= 4
         scale *= 2
-    if t == 2:
-        return (0, scale)
     swap = t % 2 == 0
     if swap:
         t //= 2
@@ -408,7 +403,7 @@ def verify(cubes, n: int) -> bool:
     return a**3 + b**3 + c**3 + d**3 + e**3 + f**3 + g**3 == n
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Trace:
     """Full audit record of one decomposition.
 
@@ -418,13 +413,13 @@ class Trace:
     target and scaled by a power of 5).  Construction-specific
     fields are None on the other branches.  Every factor in `p_factors` lies
     below psi_5, where is_prime is a proof, and recheck() proves each again.
+    The fields, in order, are the keys of the record.
     """
 
     n: int
     n0: int
     e: int
     branch: str
-    cubes: tuple[int, ...]
     p_value: int | None = None
     p_factors: tuple[int, ...] | None = None
     b: int | None = None
@@ -433,6 +428,7 @@ class Trace:
     x1: int | None = None
     x2: int | None = None
     x3: int | None = None
+    cubes: tuple[int, ...]
     verified: bool = False
 
     def recheck(self) -> bool:
@@ -499,23 +495,9 @@ class Trace:
         )
 
     def to_record(self) -> dict:
-        """Serialisable record with a fixed 14-key layout."""
-        return {
-            "n": self.n,
-            "n0": self.n0,
-            "e": self.e,
-            "branch": self.branch,
-            "p_value": self.p_value,
-            "p_factors": list(self.p_factors) if self.p_factors is not None else None,
-            "b": self.b,
-            "x0": self.x0,
-            "q": self.q,
-            "x1": self.x1,
-            "x2": self.x2,
-            "x3": self.x3,
-            "cubes": list(self.cubes),
-            "verified": self.verified,
-        }
+        """Serialisable record: every field, in order, with tuples as lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
 
 def _candidate_moduli(n: int) -> Iterator[AuxModulus]:

@@ -29,19 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import count
-from math import gcd
+from math import gcd, prod
 
 from .arith import (
     TRIAL_DIVISION_BOUND,
-    TRIAL_LOOP_PRIMES,
-    TRIAL_PRIMES_5_MOD_6,
-    TRIAL_PRODUCT_1_MOD_6,
-    TRIAL_PRODUCT_5_MOD_6,
     crt,
     factorize,
     has_small_factor,
     integer_cbrt,
     is_prime,
+    primes_upto,
     split_squarefree,
 )
 
@@ -85,6 +82,15 @@ COMPOSITE_ROUTE_MIN = VALID_HI * (11 * LARGE_PRIME_FLOOR) ** 3
 # (see construct.py).
 IDENTITY_CONSTANT = 1402
 
+# The trial primes as admissible_factors takes them: a loop over those below
+# 200, then one gcd with the product of the rest that are 1 (mod 6) and one
+# with the product of those that are 5 (mod 6); 2 and 3 are in the loop.
+_TRIAL_PRIMES = primes_upto(TRIAL_DIVISION_BOUND)
+TRIAL_LOOP_PRIMES = tuple(p for p in _TRIAL_PRIMES if p < 200)
+TRIAL_PRIMES_5_MOD_6 = tuple(p for p in _TRIAL_PRIMES if p >= 200 and p % 6 == 5)
+TRIAL_PRODUCT_5_MOD_6 = prod(TRIAL_PRIMES_5_MOD_6)
+TRIAL_PRODUCT_1_MOD_6 = prod(p for p in _TRIAL_PRIMES if p >= 200 and p % 6 == 1)
+
 # The smallest composite with no prime factor up to TRIAL_DIVISION_BOUND is
 # the square of the first prime past it (10007**2): a cofactor left by the
 # trial division below this square is 1 or a prime.
@@ -101,14 +107,14 @@ class AuxModulus:
     """An admissible modulus together with its prime factors.
 
     The scans that build one prove every factor prime (all lie below
-    psi_5); the constructor checks only order, residue and product.
+    psi_5); the constructor checks only order, residue and product, and is
+    the one place that checks them.
     """
 
     value: int
     primes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prod = 1
         prev = 0
         for p in self.primes:
             if p <= prev:
@@ -116,9 +122,18 @@ class AuxModulus:
             if p % 6 != 5:
                 raise ValueError(f"factor {p} is not congruent to 5 mod 6")
             prev = p
-            prod *= p
-        if prod != self.value:
+        if prod(self.primes) != self.value:
             raise ValueError("value does not match its factorization")
+
+    def cube_root(self, a: int) -> int:
+        """The unique x in [0, 6p) with x**3 = a (mod 6p), p = value.
+
+        Cubing is a bijection mod 2 and mod 3 (x**3 = x there) and mod every
+        factor p = 5 (mod 6), where the inverse map is c -> c**((2p-1)/3):
+        note 3 | 2p - 1 and (c**((2p-1)/3))**3 = c**(2(p-1)) * c = c (mod p).
+        """
+        roots = [(pow(a, (2 * p - 1) // 3, p), p) for p in self.primes]
+        return crt([(a % 2, 2), (a % 3, 3), *roots])
 
 
 def admissible_factors(n: int) -> tuple[int, ...] | None:
@@ -259,7 +274,7 @@ def iter_moduli_direct(n: int):
 # -- the smooth composite route ---------------------------------------------
 
 # the primes = 5 (mod 6) from 11 up to TRIAL_DIVISION_BOUND, ascending
-_SMOOTH_PRIMES = tuple(p for p in TRIAL_LOOP_PRIMES + TRIAL_PRIMES_5_MOD_6 if p % 6 == 5 and p > 5)
+_SMOOTH_PRIMES = tuple(p for p in _TRIAL_PRIMES if p % 6 == 5 and p > 5)
 
 
 def iter_moduli_composite(n: int, residue_mod25: int):

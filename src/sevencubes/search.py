@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import clear_bits, integer_cbrt
+from .arith import bin_digits, clear_bits, integer_cbrt
 
 __all__ = [
     "EXCEPTIONS",
@@ -64,22 +64,13 @@ _WINDOW = 2**17
 _MEMO_SLOTS = (4, 5, 6)
 _NO_SUM = 255  # memo byte: the remainder is no sum of that many cubes
 
-# _BIT_PLANES[j] maps a byte to its bit j, so one translate() reads bit j of
-# every byte of a bitset at once
-_BIT_PLANES = tuple(bytes((v >> j) & 1 for v in range(256)) for j in range(8))
-
 # prune and memo of search_cubes padded past their last table, for k < 8
 _PAD = (None,) * 8
 
 
-def _byte_per_value(bits: int, n: int) -> bytearray:
-    """Byte j of the result is 1 exactly when bit j of `bits` is set, for
-    j <= n; at most seven padding bytes follow."""
-    packed = bits.to_bytes(n // 8 + 1, "little")
-    out = bytearray(8 * len(packed))
-    for j, plane in enumerate(_BIT_PLANES):
-        out[j::8] = packed.translate(plane)
-    return out
+def _byte_per_value(bits: int, n: int) -> bytes:
+    """n + 1 bytes: byte j is 1 exactly when bit j of `bits` is set."""
+    return bin_digits(bits, n).encode().translate(bytes.maketrans(b"01", b"\x00\x01"))
 
 
 class _Tables:

@@ -18,9 +18,9 @@ from sevencubes.arith import (
     _MR_PSI,
     FACTOR_BOUND,
     TRIAL_DIVISION_BOUND,
+    bin_digits,
     clear_bits,
     crt,
-    cube_root_mod_6n,
     factorize,
     has_small_factor,
     integer_cbrt,
@@ -30,6 +30,7 @@ from sevencubes.arith import (
     prime_sieve,
     primes_upto,
 )
+from sevencubes.modulus import AuxModulus
 
 
 def naive_is_prime(n: int) -> bool:
@@ -63,6 +64,11 @@ def test_clear_bits():
     assert clear_bits(0b110000, 3) == [0, 1, 2, 3]  # bits above n are ignored
     assert clear_bits((1 << 64) - 1, 63) == []
     assert clear_bits(0, 0) == [0]
+
+
+@given(st.integers(min_value=0, max_value=2**200), st.integers(min_value=0, max_value=240))
+def test_bin_digits_reads_each_bit(bits, n):
+    assert bin_digits(bits, n) == "".join(str(bits >> i & 1) for i in range(n + 1))
 
 
 def test_is_prime_exhaustive_small():
@@ -363,33 +369,13 @@ def test_crt_reconstructs(x):
     assert crt([(x % m, m) for m in mods]) == x
 
 
-# -- cube roots modulo 6p -----------------------------------------------------
-
-
-def test_cube_root_worked_anchor():
-    # hand-derived: 202258 - 1402 * 125 = 27008; its cube root mod 30 is 2
-    assert cube_root_mod_6n(27008, (5,)) == 2
-
-
-@pytest.mark.parametrize("primes", [(), (5,), (11,), (5, 11), (17,)])
-def test_cube_root_is_bijection(primes):
-    modulus = 6
-    for p in primes:
-        modulus *= p
-    seen = set()
-    for a in range(modulus):
-        r = cube_root_mod_6n(a, primes)
-        assert 0 <= r < modulus
-        assert pow(r, 3, modulus) == a % modulus
-        seen.add(r)
-    assert len(seen) == modulus  # cubing is a bijection on Z/6p
-
-
 def test_cube_root_rejects_bad_prime_lists():
+    # cube roots mod 6p are AuxModulus.cube_root; a prime list that is not an
+    # increasing run of primes = 5 (mod 6) yields no modulus to take them in
     with pytest.raises(ValueError):
-        cube_root_mod_6n(8, (7,))  # 7 != 5 (mod 6)
+        AuxModulus(7, (7,)).cube_root(8)  # 7 != 5 (mod 6)
     with pytest.raises(ValueError):
-        cube_root_mod_6n(8, (11, 5))  # not increasing
+        AuxModulus(55, (11, 5)).cube_root(8)  # not increasing
 
 
 def test_is_prime_refuses_from_the_5_base_bound():

@@ -10,7 +10,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import isqrt
 
 import pytest
@@ -831,6 +831,7 @@ def test_trace_record_layout():
         "cubes",
         "verified",
     ]
+    assert list(record) == [f.name for f in fields(Trace)]
     assert json.loads(json.dumps(record)) == record
     assert record["cubes"] == [2, 35, 5, 25, 25, 40, 40]
     assert record["verified"] is True

@@ -234,6 +234,27 @@ def test_aux_modulus_validation():
     assert admissible_factors(26669) == (26669,) and admissible_factors(26670) is None
 
 
+# -- cube roots modulo 6p -----------------------------------------------------
+
+
+def test_cube_root_worked_anchor():
+    # hand-derived: 202258 - 1402 * 125 = 27008; its cube root mod 30 is 2
+    assert AuxModulus(5, (5,)).cube_root(27008) == 2
+
+
+@pytest.mark.parametrize("primes", [(), (5,), (11,), (5, 11), (17,)])
+def test_cube_root_is_bijection(primes):
+    aux = AuxModulus(prod(primes), primes)
+    six_p = 6 * aux.value
+    seen = set()
+    for a in range(six_p):
+        r = aux.cube_root(a)
+        assert 0 <= r < six_p
+        assert pow(r, 3, six_p) == a
+        seen.add(r)
+    assert len(seen) == six_p  # cubing is a bijection on Z/6p
+
+
 # -- steering -----------------------------------------------------------------
 
 
