@@ -395,12 +395,13 @@ def verify(cubes, n: int) -> bool:
     """True when `cubes` is a sequence of 7 nonnegative ints summing (cubed) to
     n, an int; bools and floats count as neither."""
     cubes = tuple(cubes)
-    if type(n) is not int or len(cubes) != 7 or not all(
-        type(c) is int and c >= 0 for c in cubes
-    ):
+    if type(n) is not int or len(cubes) != 7:
         return False
     a, b, c, d, e, f, g = cubes  # unrolled: cheaper than a generator
-    return a**3 + b**3 + c**3 + d**3 + e**3 + f**3 + g**3 == n
+    if not (type(a) is type(b) is type(c) is type(d) is type(e) is type(f)
+            is type(g) is int) or min(cubes) < 0:
+        return False
+    return a*a*a + b*b*b + c*c*c + d*d*d + e*e*e + f*f*f + g*g*g == n
 
 
 @dataclass(kw_only=True)

@@ -6,12 +6,13 @@ Two independent code paths answer "which n have no seven-cube sum":
 bitset, while `search_seven` runs a complete backtracking descent pruned by
 exact tables of the sums of at most 1, 2, 3 cubes up to 2**17, with a
 byte-packed memo of the answers of its nodes with 4, 5 and 6 slots below
-that window.  Below 209**3 the remainder left by the root's first base lies
-inside the window, so a warm seven-cube search is one cube root, one memo
-probe and one slice.  A None from `search_seven` is a proof of
-non-representability, not a timeout: each memo entry is the result of a
-complete descent from that node.  Both paths refuse values above a size cap,
-SEARCH_MAX_N by default.
+that window.  The descent is two module functions and builds no closure;
+a loop reads each child's memo entry before making any call.  Below 209**3
+the remainder left by the root's first base lies inside the window, so a
+warm seven-cube search is one cube root, one memo probe and one slice.  A
+None from `search_seven` is a proof of non-representability, not a timeout:
+each memo entry is the result of a complete descent from that node.  Both
+paths refuse values above a size cap, SEARCH_MAX_N by default.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ _WINDOW = 2**17
 _MEMO_SLOTS = (4, 5, 6)
 _NO_SUM = 255  # memo byte: the remainder is no sum of that many cubes
 
-# prune and memo of search_cubes padded past their last table, for k < 8
+# prune and memo of a search padded with None past their last table: the
+# descent indexes them up to k, so a search with k < 8 builds no tuple
 _PAD = (None,) * 8
 
 
@@ -83,7 +85,8 @@ class _Tables:
     s*r .. s*r + s - 1 hold the lexicographically largest nonincreasing
     bases of s cubes summing to r, zero-padded; a first byte of 0 means not
     yet known and _NO_SUM means r is no sum of s cubes.  Every base is at
-    most the cube root of window, below 255."""
+    most the cube root of window, below 255.  Both are padded to _PAD's
+    length; context is the search context for min_base <= 0 and k < 8."""
 
     def __init__(self, window: int) -> None:
         assert integer_cbrt(window) < _NO_SUM, "a memoized base must fit a byte"
@@ -104,16 +107,90 @@ class _Tables:
             frozenset(cubes),
             _byte_per_value(two, window),
             _byte_per_value(three, window),
-        )
+        ) + _PAD[4:]
         self.memo = tuple(
             bytearray(s * (window + 1)) if s in _MEMO_SLOTS else None
-            for s in range(max(_MEMO_SLOTS) + 1)
+            for s in range(len(_PAD))
         )
+        self.context = (self.small, self.memo, window, 0)
 
 
 @lru_cache(maxsize=1)
 def _tables() -> _Tables:
     return _Tables(_WINDOW)
+
+
+def _rec(out: list[int], ctx: tuple, rem: int, slots: int, hi: int) -> bool:
+    """Append to out the largest bases of `slots` cubes <= hi summing to rem.
+    ctx is the search's (prune, memo, window, min_base): prune[s] is small[s]
+    of _Tables, tested on the children of a node with s + 1 slots, memo[s]
+    the memo of nodes with s slots; None where they do not apply, as they
+    allow zero bases."""
+    if rem == 0:
+        return ctx[3] <= 0 or slots == 0
+    if slots == 1:
+        x = integer_cbrt(rem)
+        if x * x * x == rem and ctx[3] <= x <= hi:
+            out.append(x)
+            return True
+        return False
+    table = ctx[1][slots]
+    if table is None or rem > ctx[2]:
+        return _descend(out, ctx, rem, slots, hi)
+    at = rem * slots
+    first = table[at]
+    if not first:  # first visit: store the uncapped descent's answer
+        start = len(out)
+        if not _descend(out, ctx, rem, slots, integer_cbrt(rem)):
+            table[at] = _NO_SUM
+            return False
+        first = out[start]
+        table[at : at + len(out) - start] = bytes(out[start:])
+        del out[start:]
+    if first == _NO_SUM:
+        return False
+    if first > hi:
+        # not reached from the root: a visited node's uncapped maximum
+        # never starts above its cap, since the parent would have taken
+        # that base first; should it, the loop searches under the cap
+        return _descend(out, ctx, rem, slots, hi)
+    # the uncapped maximum is feasible, so it is the maximum under hi
+    out.extend(table[at : at + slots])
+    return True
+
+
+def _descend(out: list[int], ctx: tuple, rem: int, slots: int, hi: int) -> bool:
+    """_rec's loop over the first base, for rem > 0.  It reads a child in the
+    memo window without a call: a _NO_SUM entry skips the base, one under
+    the base is the answer, and the rest go through _rec's fill and cap."""
+    prune, memo, window, min_base = ctx
+    below = prune[slots - 1]
+    table = memo[slots - 1]
+    # min(hi, integer_cbrt(rem)), with no cube root where hi binds: at
+    # the root, hi is the cube root
+    top = hi if hi * hi * hi <= rem else integer_cbrt(rem)
+    for x in range(top, min_base - 1, -1):  # for min_base <= 0, the break ends it
+        cube = x * x * x
+        if cube * slots < rem:
+            break
+        nrem = rem - cube
+        if 0 < nrem <= window:
+            if table is not None:
+                at = nrem * (slots - 1)
+                first = table[at]
+                if first == _NO_SUM:
+                    continue
+                if 0 < first <= x:
+                    out.append(x)
+                    out.extend(table[at : at + slots - 1])
+                    return True
+            elif below is not None and not (nrem in below if slots == 2 else below[nrem]):
+                continue
+        out.append(x)
+        if _rec(out, ctx, nrem, slots - 1, x):
+            return True
+        out.pop()
+    return False
 
 
 def search_cubes(
@@ -130,9 +207,11 @@ def search_cubes(
     prunes with exact tables, so None is a proof.  The answer is the
     lexicographically largest such tuple.  With min_base == 0 a node with 4,
     5 or 6 slots and a small remainder is answered from a memo of earlier
-    nodes; each entry is the result of a complete descent from that node, so
-    the answer and the proof are the same as without it.  n above max_n
-    raises SearchLimitError.
+    nodes, read in its parent's loop; each entry is the result of a complete
+    descent from that node, so the answer and the proof are the same as
+    without it.  A call with min_base == 0 and k < 8 builds no closure and
+    no tuple: its context is the cached tables'.  n above max_n raises
+    SearchLimitError.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
@@ -141,80 +220,15 @@ def search_cubes(
         raise SearchLimitError(
             f"n of {n.bit_length()} bits exceeds the search budget {max_n}"
         )
-    positive = min_base > 0
-    lowest = max(min_base, 1)
-    # prune[s]: the sums of at most s cubes up to window (a set for s = 1,
-    # one byte per value for s = 2, 3), tested on the children of a node
-    # with s + 1 slots; memo[s]: the memo of nodes with s slots.  None where
-    # they do not apply: both allow zero bases, so not when min_base > 0.
-    prune = memo = _PAD if k < len(_PAD) else (None,) * (k + 1)
-    window = 0
-    if not positive:
-        tables = _tables()
-        window = tables.window
-        prune = tables.small + prune
-        memo = tables.memo + memo
+    ctx = _tables().context if min_base <= 0 else (_PAD, _PAD, 0, min_base)
+    if k >= len(_PAD):
+        more = (None,) * (k + 1 - len(_PAD))
+        ctx = (ctx[0] + more, ctx[1] + more, ctx[2], ctx[3])
     out: list[int] = []
-
-    def rec(rem: int, slots: int, hi: int) -> bool:
-        """Append the largest bases of `slots` cubes <= hi summing to rem."""
-        if rem == 0:
-            return not positive or slots == 0
-        if slots == 1:
-            x = integer_cbrt(rem)
-            if x * x * x == rem and min_base <= x <= hi:
-                out.append(x)
-                return True
-            return False
-        table = memo[slots]
-        if table is None or rem > window:
-            return descend(rem, slots, hi)
-        at = rem * slots
-        first = table[at]
-        if not first:  # first visit: store the uncapped descent's answer
-            start = len(out)
-            if not descend(rem, slots, integer_cbrt(rem)):
-                table[at] = _NO_SUM
-                return False
-            first = out[start]
-            table[at : at + len(out) - start] = bytes(out[start:])
-            del out[start:]
-        if first == _NO_SUM:
-            return False
-        if first > hi:
-            # not reached from the root: a visited node's uncapped maximum
-            # never starts above its cap, since the parent would have taken
-            # that base first; should it, the loop searches under the cap
-            return descend(rem, slots, hi)
-        # the uncapped maximum is feasible, so it is the maximum under hi
-        out.extend(table[at : at + slots])
-        return True
-
-    def descend(rem: int, slots: int, hi: int) -> bool:
-        below = prune[slots - 1]
-        # min(hi, integer_cbrt(rem)), with no cube root where hi binds: at
-        # the root, hi is the cube root
-        x = hi if hi * hi * hi <= rem else integer_cbrt(rem)
-        while x >= lowest:
-            cube = x * x * x
-            if cube * slots < rem:
-                break
-            nrem = rem - cube
-            if below is None or nrem > window or (
-                nrem in below if slots == 2 else below[nrem]
-            ):
-                out.append(x)
-                if rec(nrem, slots - 1, x):
-                    return True
-                out.pop()
-            x -= 1
-        return False
-
-    if not rec(n, k, integer_cbrt(n)):
+    if not _rec(out, ctx, n, k, integer_cbrt(n)):
         return None
     assert sum(c * c * c for c in out) == n
-    result = tuple(out) + (0,) * (k - len(out))
-    return result
+    return tuple(out) + (0,) * (k - len(out))
 
 
 def search_seven(n: int, max_n: int = SEARCH_MAX_N) -> tuple[int, ...] | None:

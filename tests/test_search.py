@@ -77,7 +77,7 @@ def test_search_agrees_with_exceptions_to_2000():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=50000), st.integers(min_value=1, max_value=7))
+@given(st.integers(min_value=0, max_value=50000), st.integers(min_value=1, max_value=10))
 def test_search_output_shape(n, k):
     got = search_cubes(n, k)
     if got is None:
@@ -86,6 +86,17 @@ def test_search_output_shape(n, k):
     assert list(got) == sorted(got, reverse=True)
     assert sum(c**3 for c in got) == n
     assert all(c >= 0 for c in got)
+
+
+def test_search_past_the_padded_tables_matches_oracle():
+    # k >= 8 indexes past the tables' padding, which is extended per call
+    for n in range(300):
+        got = search_cubes(n, 8)
+        assert (got is not None) == oracle_exists(n, 8), n
+        assert got is None or (len(got) == 8 and sum(c**3 for c in got) == n)
+    # eight positive cubes: the largest tuple, found by a plain loop over bases
+    assert oracle_exists(257, 8, lo=1)
+    assert search_cubes(257, 8, min_base=1) == (5, 3, 3, 3, 3, 2, 2, 2)
 
 
 def test_search_min_base_respected():
@@ -196,6 +207,18 @@ def test_memo_entry_above_the_cap_yields_the_loops_answer(fresh_tables, ref_smal
         table = _tables().memo[slots]
         table[slots * n : slots * (n + 1)] = bytes([integer_cbrt(n) + 1] + [0] * (slots - 1))
         assert search_cubes(n, slots) == reference_descent(n, slots, ref_small) == want
+
+
+def test_memo_child_entry_above_the_base_yields_the_loops_answer(fresh_tables, ref_small):
+    # the loop reads a child's memo entry in place of a call; an entry whose
+    # first base exceeds the parent's base must go to the capped descent.
+    # The root of 999 999 takes 99 first, leaving 29 700 to six slots, and
+    # the planted entry claims a first base of 100
+    rem = 999_999 - 99**3
+    assert rem == 29_700
+    _tables().memo[6][6 * rem : 6 * rem + 6] = bytes([100, 0, 0, 0, 0, 0])
+    want = (99, 30, 13, 7, 5, 3, 2)
+    assert search_cubes(999_999, 7) == reference_descent(999_999, 7, ref_small) == want
 
 
 def test_memo_storage_is_bounded(fresh_tables):
