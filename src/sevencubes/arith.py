@@ -31,6 +31,7 @@ __all__ = [
     "prime_sieve",
     "primes_upto",
     "split_squarefree",
+    "sumset",
 ]
 
 
@@ -97,6 +98,14 @@ def bin_digits(bits: int, n: int) -> str:
     # bin() gives the bits highest first; the set bit n + 1 pads it to n + 2
     # digits, and [:2:-1] reverses them without "0b" and that bit
     return bin(bits & ((1 << (n + 1)) - 1) | 1 << (n + 1))[:2:-1]
+
+
+def sumset(bits: int, shifts: Iterable[int], n: int) -> int:
+    """The OR of bits << s over `shifts`, cut to bits 0 to n: a bitset sumset."""
+    out = 0
+    for s in shifts:
+        out |= bits << s
+    return out & ((1 << (n + 1)) - 1)
 
 
 def clear_bits(bits: int, n: int) -> list[int]:

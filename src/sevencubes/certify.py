@@ -14,23 +14,24 @@ this module exists so the numerical backbone can be re-audited at will:
   of ratio < 1.021, read off the admissible sieve; window_report audits it;
 * prime_gap_certificate / admissible_gap_certificate - maximal consecutive
   ratios in arithmetic-progression prime lists and admissible-value lists;
-* dickson_report - the excluded set of x**2 + 2*z**2 + 5*y**2 versus a
-  bitset sumset of the form's values;
+* dickson_report - the excluded set of x**2 + 2*z**2 + 5*y**2 versus
+  three arith.sumset calls over the form's values;
 * identity_report - randomised exact checks of the six-cube identity;
 * steering_table_text / table2_text / exceptional_table_text - the three
-  packaged tables, which TABLES names with their data files.
+  packaged tables, which TABLES names with the data files packaged_table reads.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 from itertools import compress
 from math import isqrt
 
-from .arith import clear_bits, prime_sieve, primes_upto
+from .arith import clear_bits, prime_sieve, primes_upto, sumset
 from .construct import IDENTITY_CONSTANT, _identity_bases, dickson_excluded
 from .modulus import (
     VALID_HI,
@@ -52,6 +53,7 @@ __all__ = [
     "exceptional_table_text",
     "find_covering_window",
     "identity_report",
+    "packaged_table",
     "prime_gap_certificate",
     "steering_table_report",
     "steering_table_text",
@@ -60,11 +62,7 @@ __all__ = [
     "window_report",
 ]
 
-# Steering pairs per unit residue mod 25: the two residue classes for the
-# auxiliary modulus that pin the residual q to -5 resp. +5 modulo 25.
-_TABLE1_COLUMNS = (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 18, 19, 21, 22, 23, 24)
-_TABLE1_PLUS = (2, 21, 9, 18, 22, 1, 14, 13, 17, 6, 19, 8, 12, 11, 24, 3, 7, 16, 4, 23)
-_TABLE1_MINUS = (7, 6, 24, 13, 2, 11, 4, 8, 22, 16, 9, 3, 17, 21, 14, 23, 12, 1, 19, 18)
+_UNITS_MOD_25 = tuple(r for r in range(1, 25) if r % 5)  # Table 1's columns
 
 # Table 2: the base moduli m0 are the admissible values in this class mod 4
 # inside the first window of ratio at most this cap that covers every
@@ -74,7 +72,7 @@ WINDOW_RATIO_CAP = Fraction(1021, 1000)
 
 
 def steering_table_report() -> dict:
-    """Recompute the 20 steering columns and compare with the frozen table.
+    """Recompute the 20 steering columns and compare with data/table1.txt.
 
     For every unit residue r mod 25 the planner must find exactly two unit
     classes b with 1402*b**3 == r (mod 5) and residual class +-5 (mod 25);
@@ -82,8 +80,9 @@ def steering_table_report() -> dict:
     (the "plus" entry, residual 20) and which +5 (the "minus" entry).
     """
     columns = []
+    frozen = packaged_table("table1.txt").splitlines()[1:]  # below the header
     all_ok = True
-    for r, b_plus, b_minus in zip(_TABLE1_COLUMNS, _TABLE1_PLUS, _TABLE1_MINUS):
+    for r, b_plus, b_minus in (map(int, line.split()) for line in frozen):
         computed = steering_residues(r)
         q_plus = residual_class(r, b_plus)
         q_minus = residual_class(r, b_minus)
@@ -100,6 +99,7 @@ def steering_table_report() -> dict:
                 "ok": ok,
             }
         )
+    all_ok &= tuple(c["residue"] for c in columns) == _UNITS_MOD_25
     return {"columns": columns, "ok": bool(all_ok)}
 
 
@@ -107,11 +107,10 @@ def steering_table_text() -> str:
     """The steering table as 'residue b_plus b_minus' lines, regenerated by
     steering_residues: b_plus is the candidate with residual class 20."""
     lines = ["# steering pairs mod 25: residue b_plus b_minus"]
-    for r in range(1, 25):
-        if r % 5:
-            pair = steering_residues(r)
-            bp, bm = pair if residual_class(r, pair[0]) == 20 else pair[::-1]
-            lines.append(f"{r} {bp} {bm}")
+    for r in _UNITS_MOD_25:
+        pair = steering_residues(r)
+        bp, bm = pair if residual_class(r, pair[0]) == 20 else pair[::-1]
+        lines.append(f"{r} {bp} {bm}")
     return "\n".join(lines) + "\n"
 
 
@@ -126,7 +125,7 @@ def steering_uniqueness_report() -> dict:
     """
     columns = []
     all_ok = True
-    for r in _TABLE1_COLUMNS:
+    for r in _UNITS_MOD_25:
         b0 = next(
             b for b in range(1, 5) if (IDENTITY_CONSTANT * b**3 - r) % 5 == 0
         )
@@ -228,18 +227,10 @@ class GapCertificate:
         return Fraction(self.witness[1], self.witness[0])
 
     def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "modulus": self.modulus,
-            "residue": self.residue,
-            "lo": self.lo,
-            "hi": self.hi,
-            "count": self.count,
-            "witness": list(self.witness),
-            "max_ratio": [self.witness[1], self.witness[0]],
-            "bound": list(self.bound) if self.bound else None,
-            "satisfied": self.satisfied,
-        }
+        """Every field, with tuples as lists, and max_ratio as [num, den]."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        record = {k: list(v) if isinstance(v, tuple) else v for k, v in values}
+        return record | {"max_ratio": [self.witness[1], self.witness[0]]}
 
 
 def _max_consecutive_ratio(elements: list[int], what: str = "the class") -> tuple[int, int]:
@@ -452,6 +443,11 @@ TABLES = {
 }
 
 
+def packaged_table(filename: str) -> str:
+    """The text of the packaged table `filename` under sevencubes/data."""
+    return (resources.files("sevencubes") / "data" / filename).read_text()
+
+
 def dickson_report(limit: int) -> dict:
     """Audit of the excluded set of x**2 + 2*z**2 + 5*y**2 up to `limit`.
 
@@ -462,13 +458,10 @@ def dickson_report(limit: int) -> dict:
     """
     if limit < 25:
         raise ValueError("limit too small to say anything")
-    squares = sum(1 << (x * x) for x in range(isqrt(limit) + 1))
-    binary = 0  # the values x**2 + 2*z**2
-    for z in range(isqrt(limit // 2) + 1):
-        binary |= squares << (2 * z * z)
-    reach = 0
-    for y in range(isqrt(limit // 5) + 1):
-        reach |= binary << (5 * y * y)
+    squares = sumset(1, (x * x for x in range(isqrt(limit) + 1)), limit)
+    # the values x**2 + 2*z**2, then x**2 + 2*z**2 + 5*y**2
+    binary = sumset(squares, (2 * z * z for z in range(isqrt(limit // 2) + 1)), limit)
+    reach = sumset(binary, (5 * y * y for y in range(isqrt(limit // 5) + 1)), limit)
     missing = clear_bits(reach, limit)
     direct = bytearray(limit + 1)
     scale = 1

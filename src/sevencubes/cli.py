@@ -14,7 +14,6 @@ import os
 import random
 import re
 import sys
-from importlib import resources
 
 from .construct import (
     NotRepresentableError,
@@ -32,9 +31,9 @@ from .search import (
 
 _SELFTEST_SEED = 20110213
 
-# `certify` (and with it `fractions`) is imported only by the commands that
-# use it: certify, selftest and tables.  `decompose` never needs it, and
-# importing it took about 5% of a `decompose` cold start.
+# `certify` (with `fractions` and the packaged tables' reader) is imported
+# only by the commands that use it: certify, selftest and tables.  `decompose`
+# never needs it, and importing it took about 5% of a `decompose` cold start.
 
 
 def _integer(low: int | None = None):
@@ -59,10 +58,6 @@ def _ratio(text: str):
     if not m or int(m.group(2)) == 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a ratio of the form num/den")
     return Fraction(int(m.group(1)), int(m.group(2)))
-
-
-def _packaged_table(filename: str) -> str:
-    return (resources.files("sevencubes") / "data" / filename).read_text()
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -95,7 +90,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from .certify import TABLES
+    from .certify import TABLES, packaged_table
 
     names = list(TABLES) if args.name == "all" else [args.name]
     status = 0
@@ -103,7 +98,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         filename, generate = TABLES[name]
         text = generate()
         if args.check:
-            if _packaged_table(filename) == text:
+            if packaged_table(filename) == text:
                 print(f"{name}: OK (regenerated table matches data/{filename})")
             else:
                 print(f"{name}: MISMATCH against data/{filename}", file=sys.stderr)
@@ -240,7 +235,7 @@ def _selftest_payload() -> dict:
     payload["exceptional_tables"] = {"count": len(EXCEPTIONS), "ok": bool(tables_ok)}
 
     payload["tables_match"] = {
-        name: _packaged_table(filename) == generate()
+        name: certify.packaged_table(filename) == generate()
         for name, (filename, generate) in certify.TABLES.items()
     }
 

@@ -198,20 +198,19 @@ def _cornacchia_two(p: int) -> tuple[int, int] | None:
     square, so a returned pair satisfies the identity exactly, whatever p
     is.  That identity is the certificate: p need not be proven prime.  For
     a prime p it always finds the pair (unique up to sign); a composite p
-    may give None even when a pair exists.
+    may give None even when a pair exists.  Euclid ends on the same x from
+    either square root of -2, so it runs once.
     """
-    root = _sqrt_minus_two(p)
-    if root is None:
+    a, b = p, _sqrt_minus_two(p)
+    if b is None:
         return None
-    for r in (root, p - root):
-        a, b = p, r
-        while b * b > p:
-            a, b = b, a % b
-        y2, rem = divmod(p - b * b, 2)
-        if rem == 0:
-            y = is_perfect_square(y2)
-            if y is not None:
-                return b, y
+    while b * b > p:
+        a, b = b, a % b
+    y2, rem = divmod(p - b * b, 2)
+    if rem == 0:
+        y = is_perfect_square(y2)
+        if y is not None:
+            return b, y
     return None
 
 

@@ -1,25 +1,25 @@
 """Exhaustive search for sums of k nonnegative (or strictly positive) cubes,
 plus the frozen exception set for seven cubes and its stored decompositions.
 
-Two independent code paths answer "which n have no seven-cube sum":
-`exception_scan` builds the sums of seven cubes as a sumset on one integer
-bitset, while `search_seven` runs a complete backtracking descent pruned by
-exact tables of the sums of at most 1, 2, 3 cubes up to 2**17, with a
-byte-packed memo of the answers of its nodes with 4, 5 and 6 slots below
-that window.  The descent is two module functions and builds no closure;
-a loop reads each child's memo entry before making any call.  Below 209**3
-the remainder left by the root's first base lies inside the window, so a
-warm seven-cube search is one cube root, one memo probe and one slice.  A
-None from `search_seven` is a proof of non-representability, not a timeout:
-each memo entry is the result of a complete descent from that node.  Both
-paths refuse values above a size cap, SEARCH_MAX_N by default.
+Two independent code paths, sharing only arith primitives, answer "which n
+have no seven-cube sum": `exception_scan` adds a cube seven times to one
+integer bitset by arith.sumset, while `search_seven` runs a complete
+backtracking descent pruned by exact tables of the sums of at most 1, 2, 3
+cubes up to 2**17, with a byte-packed memo of the answers of its nodes with
+4, 5 and 6 slots below that window.  The descent is two module functions and
+builds no closure; a loop reads each child's memo entry before making any
+call.  Below 209**3 the remainder left by the root's first base lies inside
+the window, so a warm seven-cube search is one cube root, one memo probe and
+one slice.  A None from `search_seven` is a proof of non-representability,
+not a timeout: each memo entry is the result of a complete descent from that
+node.  Both paths refuse values above a size cap, SEARCH_MAX_N by default.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import bin_digits, clear_bits, integer_cbrt
+from .arith import bin_digits, clear_bits, integer_cbrt, sumset
 
 __all__ = [
     "EXCEPTIONS",
@@ -78,7 +78,7 @@ def _byte_per_value(bits: int, n: int) -> bytes:
 class _Tables:
     """Sums of at most 1, 2, 3 cubes up to `window`: small[1] is the
     frozenset of the cubes, small[2] and small[3] hold one byte per value.
-    The sums are built as integer bitsets, one shift per cube.
+    The sums are three chained arith.sumset calls over the cubes.
 
     memo[s], for s in _MEMO_SLOTS (None below), is a bytearray of s bytes
     per remainder r <= window, filled by search_cubes as it goes: bytes
@@ -92,16 +92,9 @@ class _Tables:
         assert integer_cbrt(window) < _NO_SUM, "a memoized base must fit a byte"
         self.window = window
         cubes = [x * x * x for x in range(integer_cbrt(window) + 1)]
-        mask = (1 << (window + 1)) - 1
-        one = sum(1 << c for c in cubes)
-        two = 0
-        for c in cubes:
-            two |= one << c
-        two &= mask
-        three = 0
-        for c in cubes:
-            three |= two << c
-        three &= mask
+        one = sumset(1, cubes, window)
+        two = sumset(one, cubes, window)
+        three = sumset(two, cubes, window)
         self.small = (
             None,
             frozenset(cubes),
@@ -240,21 +233,17 @@ def exception_scan(limit: int) -> list[int]:
     """All n <= limit with no representation as seven nonnegative cubes,
     for limit up to SEARCH_MAX_N.
 
-    Uses a layered reachability bitset (seven rounds of 'add one cube'),
+    Seven rounds of 'add one cube from 0' on one bitset (arith.sumset),
     independent of the backtracking path in search_seven.
     """
     if limit > SEARCH_MAX_N:
         raise SearchLimitError(
             f"a limit of {limit.bit_length()} bits exceeds the search budget {SEARCH_MAX_N}"
         )
-    mask = (1 << (limit + 1)) - 1
-    cubes = [x**3 for x in range(1, integer_cbrt(limit) + 1)]
-    reach = 1  # after round r, bit i: i is a sum of at most r positive cubes
+    cubes = [x**3 for x in range(integer_cbrt(limit) + 1)]
+    reach = 1  # after round r, bit i: i is a sum of r nonnegative cubes
     for _ in range(7):
-        nxt = reach
-        for c in cubes:
-            nxt |= reach << c
-        reach = nxt & mask
+        reach = sumset(reach, cubes, limit)
     return clear_bits(reach, limit)
 
 

@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sevencubes import arith
@@ -29,6 +29,7 @@ from sevencubes.arith import (
     jacobi,
     prime_sieve,
     primes_upto,
+    sumset,
 )
 from sevencubes.modulus import AuxModulus
 
@@ -69,6 +70,20 @@ def test_clear_bits():
 @given(st.integers(min_value=0, max_value=2**200), st.integers(min_value=0, max_value=240))
 def test_bin_digits_reads_each_bit(bits, n):
     assert bin_digits(bits, n) == "".join(str(bits >> i & 1) for i in range(n + 1))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**80),
+    st.lists(st.integers(min_value=0, max_value=100), max_size=8),
+    st.integers(min_value=0, max_value=90),
+)
+@example(0b1011, [], 5)  # no shifts: the empty set
+@example(0b1011, [0, 95], 90)  # a shift past n adds nothing
+@example(0b1011, [3, 3], 2)  # every sum lies past n
+def test_sumset_matches_set_reference(bits, shifts, n):
+    members = [a for a in range(bits.bit_length()) if bits >> a & 1]
+    sums = {a + s for a in members for s in shifts if a + s <= n}
+    assert sumset(bits, shifts, n) == sum(1 << i for i in sums)
 
 
 def test_is_prime_exhaustive_small():

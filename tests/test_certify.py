@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from sevencubes import certify
 from sevencubes.arith import primes_upto
 from sevencubes.certify import (
     WINDOW_RATIO_CAP,
@@ -87,6 +88,21 @@ def test_steering_table_report():
     for column in report["columns"]:
         assert column["q0_plus"] == 20 and column["q0_minus"] == 5
         assert sorted(column["computed"]) == sorted((column["b_plus"], column["b_minus"]))
+
+
+def test_steering_table_report_reads_the_packaged_pairs(monkeypatch):
+    real = certify.packaged_table("table1.txt")
+    assert real == steering_table_text()
+    swapped = real.replace("\n1 2 7\n", "\n1 7 2\n")  # residue 1's plus and minus
+    dropped = real.replace("24 23 18\n", "")  # the last column
+    assert steering_table_report()["ok"] is True
+    for text in (swapped, dropped):
+        assert text != real
+        monkeypatch.setattr(certify, "packaged_table", {"table1.txt": text}.__getitem__)
+        assert steering_table_report()["ok"] is False
+    monkeypatch.setattr(certify, "packaged_table", {"table1.txt": swapped}.__getitem__)
+    columns = steering_table_report()["columns"]
+    assert [c["residue"] for c in columns if not c["ok"]] == [1]
 
 
 def test_steering_table_text():
@@ -237,10 +253,20 @@ def test_prime_gap_certificate_bounds():
 def test_gap_certificate_record():
     cert = prime_gap_certificate(5, 12, 26669, 10**5, bound=Fraction(1006, 1000))
     record = json.loads(json.dumps(cert.to_record()))
+    assert cert.to_record() == record  # lists, not tuples, before the round trip
+    assert set(record) == {
+        "kind", "modulus", "residue", "lo", "hi", "count", "witness", "bound",
+        "satisfied", "max_ratio",
+    }
     assert record["kind"] == "primes"
     assert record["witness"] == [35201, 35381]
+    assert record["max_ratio"] == [35381, 35201]
+    assert record["bound"] == [503, 500]
     assert record["satisfied"] is True
     assert isinstance(cert, GapCertificate)
+    unbounded = prime_gap_certificate(5, 12, 26669, 10**5).to_record()
+    assert unbounded["bound"] is None and unbounded["satisfied"] is None
+    assert unbounded["max_ratio"] == record["max_ratio"]
 
 
 def test_admissible_gap_certificate_demo():

@@ -44,7 +44,7 @@ from sevencubes.modulus import (
     modulus_interval,
     steering_residues,
 )
-from sevencubes.arith import integer_cbrt, primes_upto
+from sevencubes.arith import integer_cbrt, is_perfect_square, primes_upto
 from sevencubes.search import EXCEPTIONS
 
 P5 = AuxModulus(5, (5,))
@@ -595,6 +595,33 @@ def test_cornacchia_two_exhaustive():
             continue
         a, b = _cornacchia_two(p)
         assert a * a + 2 * b * b == p, p
+
+
+def _cornacchia_from_both_roots(t):
+    """Cornacchia for x*x + 2*y*y == t run from each square root of -2 in
+    turn, the first exact pair winning."""
+    root = _sqrt_minus_two(t)
+    if root is None:
+        return None
+    for r in (root, t - root):
+        a, b = t, r
+        while b * b > t:
+            a, b = b, a % b
+        y2, rem = divmod(t - b * b, 2)
+        if rem == 0 and is_perfect_square(y2) is not None:
+            return b, is_perfect_square(y2)
+    return None
+
+
+def test_cornacchia_two_one_root_matches_both():
+    # Euclid from (t, t - r), for r < t/2, steps to (t - r, r) and then on as
+    # from (t, r); t - r > sqrt(t) does not stop it, so one root suffices,
+    # composite t included
+    rng = random.Random(29)
+    odd = [t for t in range(1, 100_000, 2) if t % 8 in (1, 3)]
+    large = [8 * rng.randrange(10**29, 10**30) + rng.choice((1, 3)) for _ in range(3000)]
+    for t in odd + large:
+        assert _cornacchia_two(t) == _cornacchia_from_both_roots(t), t
 
 
 def test_sqrt_minus_two_every_prime():
