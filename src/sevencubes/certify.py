@@ -360,6 +360,12 @@ def find_covering_window(
 
 
 @lru_cache(maxsize=None)
+def _covering_window() -> tuple[int, int]:
+    """The covering window [lo, hi] of Table 2, scanned once per process."""
+    return find_covering_window(WINDOW_RESIDUE_MOD4, WINDOW_RATIO_CAP)
+
+
+@lru_cache(maxsize=None)
 def base_window_table() -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
     """Base moduli m0 of the paper's two-factor route m = m0 * p (Table 2),
     regenerated from first principles: the admissible moduli = 1 (mod 4)
@@ -368,7 +374,7 @@ def base_window_table() -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], .
     Returns ((residue, ((value, prime_factors), ...)), ...) with residues
     1..24 ascending and values ascending inside each class.
     """
-    lo, hi = find_covering_window(WINDOW_RESIDUE_MOD4, WINDOW_RATIO_CAP)
+    lo, hi = _covering_window()
     window = [m for m in _admissible_elements(lo, hi) if m % 4 == WINDOW_RESIDUE_MOD4]
     return tuple(
         (r, tuple((m, admissible_factors(m)) for m in window if m % 25 == r))
@@ -394,7 +400,7 @@ def window_report() -> dict:
     nonzero residue mod 25.
     """
     table = base_window_table()
-    lo, hi = find_covering_window(WINDOW_RESIDUE_MOD4, WINDOW_RATIO_CAP)
+    lo, hi = _covering_window()
     entries = []
     count = 0
     residues_ok = True

@@ -393,7 +393,8 @@ def assemble_cubes(
 def verify(cubes, n: int) -> bool:
     """True when `cubes` is a sequence of 7 nonnegative ints summing (cubed) to
     n, an int; bools and floats count as neither."""
-    cubes = tuple(cubes)
+    if type(cubes) is not tuple:
+        cubes = tuple(cubes)
     if type(n) is not int or len(cubes) != 7:
         return False
     a, b, c, d, e, f, g = cubes  # unrolled: cheaper than a generator
@@ -447,7 +448,7 @@ class Trace:
             and type(self.n0) is int
             and type(e) is int
             and e >= 0
-            and self.n0 * 125**e == self.n
+            and (self.n0 * 125**e if e else self.n0) == self.n
             and (
                 self.b is None
                 and self.branch
@@ -554,12 +555,14 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
     * one of the 17 true exceptions at e >= 1: the stored seven-cube table
       of 125 * n0, scaled by 5**(e-1);
     * n0 == 2 (mod 4): the identity route, when one of its moduli works;
-    * otherwise the exhaustive search, up to n0 <= `search_max_n`
-      (OutOfScopeError above it; NotRepresentableError if it proves there
-      is no representation).  n == 0 takes this route too, and so does an
-      exception at e == 0: NotRepresentableError comes only from a finished
-      descent, so with `search_max_n` below such an n0 (all are <= 454) the
-      answer is OutOfScopeError.
+    * otherwise the exhaustive search, search_seven, up to n0 <=
+      `search_max_n` (OutOfScopeError above it; NotRepresentableError if it
+      proves there is no representation); it checks its answer once by an
+      unrolled sum of the seven cubes, before the recheck.  n == 0 takes
+      this route too, and so does an exception at e == 0:
+      NotRepresentableError comes only from a finished descent, so with
+      `search_max_n` below such an n0 (all are <= 454) the answer is
+      OutOfScopeError.
 
     The identity route runs one modulus scan, chosen by size, and has fixed
     budgets, which live in the module of the step they bound.  For n0 up to
@@ -578,7 +581,7 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
         raise TypeError("n must be an int")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    n0, e = reduce_125(n) if n else (0, 0)
+    n0, e = reduce_125(n) if n and n % 125 == 0 else (n, 0)
 
     if e and n0 in EXCEPTIONS:
         # 125 * n0 always has a seven-positive-cube table entry
@@ -588,7 +591,7 @@ def decompose(n: int, *, search_max_n: int = SEARCH_MAX_N) -> Trace:
         trace = _construct(n0) if n0 % 4 == 2 else None
     if trace is None:
         try:
-            found = search_seven(n0, max_n=search_max_n)
+            found = search_seven(n0, search_max_n)
         except SearchLimitError:
             raise OutOfScopeError(
                 # n itself is left out: past 4300 digits it may not convert to str

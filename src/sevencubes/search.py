@@ -8,11 +8,14 @@ backtracking descent pruned by exact tables of the sums of at most 1, 2, 3
 cubes up to 2**17, with a byte-packed memo of the answers of its nodes with
 4, 5 and 6 slots below that window.  The descent is two module functions and
 builds no closure; a loop reads each child's memo entry before making any
-call.  Below 209**3 the remainder left by the root's first base lies inside
-the window, so a warm seven-cube search is one cube root, one memo probe and
-one slice.  A None from `search_seven` is a proof of non-representability,
-not a timeout: each memo entry is the result of a complete descent from that
-node.  Both paths refuse values above a size cap, SEARCH_MAX_N by default.
+call.  search_seven, the seven-cube entry, runs the same descent from the
+cached context and checks its answer once, by one unrolled sum of the seven
+cubes.  Below 209**3 the remainder left by the root's first base lies
+inside the window, so a warm seven-cube search is one cube root, one memo
+probe and one slice, and then that one check.  A None from `search_seven`
+is a proof of non-representability, not a timeout: each memo entry is the
+result of a complete descent from that node.  Both paths refuse values
+above a size cap, SEARCH_MAX_N by default.
 """
 
 from __future__ import annotations
@@ -153,9 +156,10 @@ def _rec(out: list[int], ctx: tuple, rem: int, slots: int, hi: int) -> bool:
 
 
 def _descend(out: list[int], ctx: tuple, rem: int, slots: int, hi: int) -> bool:
-    """_rec's loop over the first base, for rem > 0.  It reads a child in the
-    memo window without a call: a _NO_SUM entry skips the base, one under
-    the base is the answer, and the rest go through _rec's fill and cap."""
+    """_rec's loop over the first base, for rem > 0 (at search_seven's root
+    rem == 0 takes the base 0).  It reads a child in the memo window without
+    a call: a _NO_SUM entry skips the base, one under the base is the
+    answer, and the rest go through _rec's fill and cap."""
     prune, memo, window, min_base = ctx
     below = prune[slots - 1]
     table = memo[slots - 1]
@@ -186,6 +190,17 @@ def _descend(out: list[int], ctx: tuple, rem: int, slots: int, hi: int) -> bool:
     return False
 
 
+def _check_size(n: int, max_n: int) -> None:
+    """Refuse a negative n, and one above the size cap max_n."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if n > max_n:
+        # n is left out: past 4300 digits it may not convert to str
+        raise SearchLimitError(
+            f"n of {n.bit_length()} bits exceeds the search budget {max_n}"
+        )
+
+
 def search_cubes(
     n: int,
     k: int,
@@ -206,13 +221,9 @@ def search_cubes(
     no tuple: its context is the cached tables'.  n above max_n raises
     SearchLimitError.
     """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n > max_n:
-        # n is left out: past 4300 digits it may not convert to str
-        raise SearchLimitError(
-            f"n of {n.bit_length()} bits exceeds the search budget {max_n}"
-        )
+    if k < 1:
+        raise ValueError("need k >= 1")
+    _check_size(n, max_n)
     ctx = _tables().context if min_base <= 0 else (_PAD, _PAD, 0, min_base)
     if k >= len(_PAD):
         more = (None,) * (k + 1 - len(_PAD))
@@ -225,8 +236,17 @@ def search_cubes(
 
 
 def search_seven(n: int, max_n: int = SEARCH_MAX_N) -> tuple[int, ...] | None:
-    """A sum of seven nonnegative cubes equal to n, or None (definitive)."""
-    return search_cubes(n, 7, max_n=max_n)
+    """A sum of seven nonnegative cubes equal to n, or None (definitive):
+    search_cubes(n, 7), by the same descent from the cached context, with
+    its answer checked once by an unrolled sum of the seven cubes."""
+    _check_size(n, max_n)
+    out: list[int] = []
+    if not _descend(out, _tables().context, n, 7, integer_cbrt(n)):
+        return None
+    out += (0,) * (7 - len(out))
+    a, b, c, d, e, f, g = out
+    assert a*a*a + b*b*b + c*c*c + d*d*d + e*e*e + f*f*f + g*g*g == n
+    return tuple(out)
 
 
 def exception_scan(limit: int) -> list[int]:

@@ -143,8 +143,18 @@ def test_constants_report():
 # -- covering window ------------------------------------------------------
 
 
-def test_window_report():
+def test_window_report(monkeypatch):
+    # one report, with the table and the window cold, scans for the
+    # covering window once
+    scans = []
+    scan = certify.find_covering_window
+    monkeypatch.setattr(
+        certify, "find_covering_window", lambda *args: scans.append(args) or scan(*args)
+    )
+    base_window_table.cache_clear()
+    certify._covering_window.cache_clear()
     report = window_report()
+    assert len(scans) == 1
     assert report["ok"] is True
     assert (report["lo"], report["hi"], report["count"]) == (26141, 26669, 38)
     assert all(report["checks"].values())

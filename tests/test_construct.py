@@ -896,6 +896,13 @@ def test_decompose_raises_when_its_trace_fails_recheck(monkeypatch):
     monkeypatch.setattr(Trace, "_route_holds", lambda self: False)
     with pytest.raises(ConstructionError, match="fails recheck"):
         decompose(202258)
+    # the fallback route, with the real _route_holds: seven bases whose
+    # cubes sum to n - 1
+    monkeypatch.undo()
+    search_seven = construct.search_seven
+    monkeypatch.setattr(construct, "search_seven", lambda n, max_n: search_seven(n - 1, max_n))
+    with pytest.raises(ConstructionError, match="fails recheck"):
+        decompose(999_999)
 
 
 # the least value == 5 (mod 6) at or above psi_5

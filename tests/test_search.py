@@ -221,6 +221,27 @@ def test_memo_child_entry_above_the_base_yields_the_loops_answer(fresh_tables, r
     assert search_cubes(999_999, 7) == reference_descent(999_999, 7, ref_small) == want
 
 
+def test_search_seven_checks_its_answer(fresh_tables):
+    # a planted 6-slot entry for the root's first remainder of 999 999 whose
+    # bases sum to 29 693, not 29 700: the loop takes it, and the one
+    # cube-sum check of search_seven must refuse the answer
+    rem = 999_999 - 99**3
+    _tables().memo[6][6 * rem : 6 * rem + 6] = bytes([30, 13, 7, 5, 3, 1])
+    with pytest.raises(AssertionError):
+        search_seven(999_999)
+
+
+def test_search_seven_is_search_cubes_with_seven_slots(fresh_tables):
+    # the seven-cube entry runs the same descent as search_cubes(n, 7): on
+    # small n and on both sides of the memo edge 209**3, cold and warm
+    rng = random.Random(31)
+    edge = 209**3
+    near = [rng.randint(edge - 2 * 10**5, edge + 2 * 10**5) for _ in range(2000)]
+    sample = [*range(500), *near]
+    for _ in ("cold", "warm"):
+        assert [search_seven(n) for n in sample] == [search_cubes(n, 7) for n in sample]
+
+
 def test_memo_storage_is_bounded(fresh_tables):
     tables = _tables()
     search_seven(999_999)
