@@ -56,12 +56,12 @@ _MR_PSI = (
 TRIAL_DIVISION_BOUND = 10_000
 
 # factorize splits off the primes in (TRIAL_DIVISION_BOUND, FACTOR_BOUND] by
-# one gcd with their product and accepts at most one prime above the bound;
-# past that it gives up, and the direct scan skips the candidate.  Chosen from
-# the measured curve on 1720 construct-workload targets (seed 71, CPU time of
-# three passes): 0.62-0.72 s at 2*10**4, 0.64-0.75 s at 3*10**4, 0.71-0.88 s
-# at 5*10**4 and 0.80-0.85 s at 10**5.  A larger bound skips fewer admissible
-# candidates but makes the gcd dearer.
+# one gcd with their product and accepts at most one prime above the bound.
+# The bound must be at least 13 810 = isqrt(190 727 607), the largest direct-
+# scan candidate: a cofactor that large with no trial prime factor is 1, a
+# prime, or a product of two primes whose smaller one is at most 13 810, so
+# the direct scan decides every candidate and skips none.  Above that, a
+# larger bound only makes the gcd dearer.
 FACTOR_BOUND = 30_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cache
+from itertools import chain
 from math import gcd, isqrt, prod
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .arith import (
     _GCD_SIEVE_BOUND,
@@ -325,19 +326,19 @@ def represent_ternary(q: int) -> TernaryRep:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if dickson_excluded(q):
-        raise ConstructionError(f"{q} = 25**k * (25*m + 10 or 15) has no ternary witness")
     if q == 0:
         return TernaryRep(0, 0, 0)
 
     # peel the 5-adic part: the whole form scales by 25, and when exactly one
     # factor 5 remains, x1 and x3 are forced to multiples of 5 (2 is not a
     # square mod 5), leaving a*a + 2*b*b = (core - 5*y*y)/25 on the fibers
-    # with y*y == core/5 (mod 5)
+    # with y*y == core/5 (mod 5); the core decides dickson_excluded(q)
     scale5, core = 1, q
     while core % 25 == 0:
         core //= 25
         scale5 *= 5
+    if core % 25 in (10, 15):
+        raise ConstructionError(f"{q} = 25**k * (25*m + 10 or 15) has no ternary witness")
     unit = 5 if core % 5 == 0 else 1
     top = isqrt(core // 5)
     if q <= COMPLETE_FIBER_LIMIT:
@@ -501,23 +502,19 @@ class Trace:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
 
-def _candidate_moduli(n: int) -> Iterator[AuxModulus]:
-    """Moduli to try for n == 2 (mod 4), from one scan chosen by size: up to
-    COMPOSITE_ROUTE_MIN the direct window scan (the smallest candidate whose
-    factorization it certifies wins), above it the steered smooth composites
-    S * l, one scan per steering residue.  Neither scan falls back on the
-    other."""
-    if n <= COMPOSITE_ROUTE_MIN:
-        yield from iter_moduli_direct(n)
-    else:
-        for b in steering_residues(n):
-            yield from iter_moduli_composite(n, b)
-
-
 def _construct(n: int) -> Trace | None:
     """Identity route for n == 2 (mod 4), 125 not dividing n; None if no
-    admissible modulus in the window yields an admissible residual."""
-    for modulus in _candidate_moduli(n):
+    admissible modulus in the window yields an admissible residual.
+
+    The moduli come from one scan chosen by size: up to COMPOSITE_ROUTE_MIN
+    the direct window scan (the smallest admissible candidate wins), above
+    it the steered smooth composites S * l, one scan per steering residue.
+    Neither scan falls back on the other."""
+    if n <= COMPOSITE_ROUTE_MIN:
+        moduli = iter_moduli_direct(n)
+    else:
+        moduli = chain.from_iterable(iter_moduli_composite(n, b) for b in steering_residues(n))
+    for modulus in moduli:
         x0 = anchor_root(n, modulus)
         q = residual_quotient(n, modulus.value, x0)
         if dickson_excluded(q):

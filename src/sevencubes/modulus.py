@@ -14,11 +14,12 @@ input n = 2 (mod 4) the construction needs
 This module picks steering residues (for 5 not dividing n, from a table
 keyed on n mod 25) and offers the two scans construct chooses between by
 size, one per target.  Up to COMPOSITE_ROUTE_MIN (about 1.1e28) the direct
-scan walks the valid interval, whose values then stay below 1.91e8, and
-takes the smallest candidate whose cofactor splits by trial division up to
-arith.FACTOR_BOUND, times at most one prime; above it the direct scan
-refuses to run.  There the composite scan builds m = S * l: S is a product
-of small primes from the trial-division table and l one prime below 2**38,
+scan walks the valid interval, whose values then stay at or below
+190 727 607, and takes the smallest admissible candidate: so small a
+cofactor splits by trial division up to arith.FACTOR_BOUND, times at most
+one prime, and none is skipped.  Above the gate the direct scan refuses to
+run.  There the composite scan builds m = S * l: S is a product of small
+primes from the trial-division table and l one prime below 2**38,
 so nothing large is factored or tested.
 Every prime factor of every modulus is proven: all lie below psi_5 (about
 2.15e12), where is_prime's Miller-Rabin bases are deterministic.
@@ -238,26 +239,27 @@ def modulus_valid(n: int, m: int) -> bool:
 
 def modulus_interval(n: int) -> tuple[int, int]:
     """Inclusive range [lo, hi] of integers m with modulus_valid(n, m);
-    lo > hi when the range is empty."""
-    lo = integer_cbrt(n // VALID_HI)
-    while VALID_HI * lo**3 <= n:
-        lo += 1
-    hi = integer_cbrt(n // VALID_LO)
-    while hi > 0 and VALID_LO * hi**3 >= n:
-        hi -= 1
-    return lo, hi
+    lo > hi when the range is empty (n = 0 gives (1, 0)).
+
+    Both bounds are strict and m**3 is an integer, so
+    VALID_LO * m**3 < n <=> m**3 <= (n - 1) // VALID_LO <=> m <= hi, and
+    n < VALID_HI * m**3 <=> n // VALID_HI < m**3 <=> m >= lo.
+    """
+    hi = integer_cbrt((n - 1) // VALID_LO) if n else 0
+    return integer_cbrt(n // VALID_HI) + 1, hi
 
 
 def iter_moduli_direct(n: int):
-    """Admissible moduli for n in ascending order, scanned directly: the
-    first is the smallest candidate whose cofactor splits by trial division
-    up to arith.FACTOR_BOUND, times at most one prime, and a candidate whose
-    cofactor has two or more prime factors above that bound is skipped.
+    """Admissible moduli for n in ascending order, scanned directly: every
+    admissible candidate, so the first is the smallest.
 
     Candidates obey the size interval and m = n/2 (mod 4).  The only size
     bound is the gate: raises ValueError for n above COMPOSITE_ROUTE_MIN, so
-    every window ends below 1.91e8, far under psi_5, and every factor is
-    proven.  At most DIRECT_SCAN_LIMIT candidates are examined.
+    every candidate is at most 190 727 607, far under psi_5, and every
+    factor is proven.  Such a cofactor without trial prime factors is 1, a
+    prime, or has its least prime factor below isqrt(190 727 607) = 13 810
+    <= arith.FACTOR_BOUND, so admissible_factors decides every candidate.
+    At most DIRECT_SCAN_LIMIT candidates are examined.
     """
     if n % 4 != 2:
         raise ValueError("the construction applies to n = 2 (mod 4)")

@@ -193,11 +193,11 @@ def _descend(out: list[int], ctx: tuple, rem: int, slots: int, hi: int) -> bool:
 def _check_size(n: int, max_n: int) -> None:
     """Refuse a negative n, and one above the size cap max_n."""
     if n < 0:
-        raise ValueError("need n >= 0")
+        raise ValueError("need a value >= 0")
     if n > max_n:
         # n is left out: past 4300 digits it may not convert to str
         raise SearchLimitError(
-            f"n of {n.bit_length()} bits exceeds the search budget {max_n}"
+            f"a value of {n.bit_length()} bits exceeds the search budget {max_n}"
         )
 
 
@@ -251,15 +251,13 @@ def search_seven(n: int, max_n: int = SEARCH_MAX_N) -> tuple[int, ...] | None:
 
 def exception_scan(limit: int) -> list[int]:
     """All n <= limit with no representation as seven nonnegative cubes,
-    for limit up to SEARCH_MAX_N.
+    for 0 <= limit <= SEARCH_MAX_N, refused as by the search: ValueError
+    below it, SearchLimitError above.
 
     Seven rounds of 'add one cube from 0' on one bitset (arith.sumset),
     independent of the backtracking path in search_seven.
     """
-    if limit > SEARCH_MAX_N:
-        raise SearchLimitError(
-            f"a limit of {limit.bit_length()} bits exceeds the search budget {SEARCH_MAX_N}"
-        )
+    _check_size(limit, SEARCH_MAX_N)
     cubes = [x**3 for x in range(integer_cbrt(limit) + 1)]
     reach = 1  # after round r, bit i: i is a sum of r nonnegative cubes
     for _ in range(7):

@@ -177,6 +177,17 @@ def test_represent_ternary_rejects_excluded():
     for q in (10, 15, 250, 375):
         with pytest.raises(ConstructionError):
             represent_ternary(q)
+    # its one 5-adic peel agrees with the public predicate, on every small q
+    # and on 25**j * m far past COMPLETE_FIBER_LIMIT, so on both fiber walks
+    qs = [*range(2 * 10**4 + 1)]
+    qs += [25**j * m for j in range(13) for m in (10, 15, 35, 40, 11)]
+    assert max(qs) > construct.COMPLETE_FIBER_LIMIT
+    for q in qs:
+        if dickson_excluded(q):
+            with pytest.raises(ConstructionError):
+                represent_ternary(q)
+        else:
+            assert represent_ternary(q).q() == q
 
 
 @settings(max_examples=500, deadline=None)

@@ -7,7 +7,7 @@ under test must reproduce both exactly.
 
 import random
 from itertools import count, islice
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +223,24 @@ def test_admissible_factors_matches_naive_seeded():
         assert admissible_factors(n) == expected, n
 
 
+def test_admissible_factors_splits_every_direct_scan_semiprime():
+    # every direct-scan candidate is at most the top of the last window below
+    # the gate; a cofactor that large with no trial prime factor and two
+    # prime factors has its smaller one at most isqrt(top) <= FACTOR_BOUND,
+    # so the scan decides every candidate: each admissible one is certified
+    top = modulus_interval(COMPOSITE_ROUTE_MIN)[1]
+    assert top == 190_727_607 and isqrt(top) == 13_810 <= FACTOR_BOUND
+    primes = [p for p in primes_upto(top // 10**4) if p > 10**4 and p % 6 == 5]
+    pairs = 0
+    for i, p in enumerate(primes):
+        for q in primes[i:]:
+            if p * q > top:
+                break
+            assert admissible_factors(p * q) == ((p, q) if p < q else None), (p, q)
+            pairs += 1
+    assert pairs > 15_000
+
+
 def test_aux_modulus_validation():
     assert AuxModulus(55, (5, 11)).primes == (5, 11)
     with pytest.raises(ValueError):
@@ -339,6 +357,23 @@ def test_modulus_interval_is_exact(n):
     for p in range(max(1, lo - 2), hi + 3):
         inside = VALID_LO * p**3 < n < VALID_HI * p**3
         assert inside == (lo <= p <= hi), (n, p)
+
+
+def test_modulus_interval_at_every_window_edge():
+    # n one below, at and one above each strict edge of the window of m = p,
+    # for every p up to 2 * 10**4: the closed form agrees with modulus_valid
+    # on m = p - 2 .. p + 2, and the endpoint at that edge lies among them
+    edges = [(0, 0, None), (1, 0, None), (2, 0, None)]
+    for p in range(1, 2 * 10**4 + 1):
+        for d in (-1, 0, 1):
+            edges += [(VALID_LO * p**3 + d, p, 1), (VALID_HI * p**3 + d, p, 0)]
+    for n, p, side in edges:
+        lo, hi = modulus_interval(n)
+        near = range(max(0, p - 2), p + 3)
+        assert [m for m in near if modulus_valid(n, m)] == [m for m in near if lo <= m <= hi], n
+        if side is not None:
+            assert (lo, hi)[side] in near, n
+    assert modulus_interval(0) == (1, 0)
 
 
 def test_modulus_valid():

@@ -135,6 +135,9 @@ def test_search_limit_error_for_values_past_the_digit_limit():
         search_seven(10**5000)
     with pytest.raises(SearchLimitError, match="bits exceeds"):
         exception_scan(10**5000)
+    # both paths refuse through the same check: a negative value too
+    with pytest.raises(ValueError, match="need a value >= 0"):
+        exception_scan(-1)
 
 
 # -- the memo ----------------------------------------------------------------
